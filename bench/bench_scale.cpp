@@ -12,12 +12,14 @@
 //   --duration S    simulated seconds per point (default 60)
 //   --out FILE      write results JSON (default BENCH_scale.json; "-" skips)
 //   --compare FILE  gate mode: fail (exit 1) if any matching size's
-//                   events/sec fell more than --tolerance below FILE's
+//                   events/sec fell more than --tolerance below FILE's,
+//                   or its (deterministic) event count differs from FILE's
 //   --tolerance F   allowed fractional drop in gate mode (default 0.5)
 //
 // Shared flags (--seed, --csv, ...) are parsed by bench::ArgParser.
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -112,7 +114,7 @@ void write_json(const std::vector<ScalePoint>& points, const std::string& path,
   out << "  ]\n}\n";
 }
 
-// Minimal extraction of {peers, events_per_sec} pairs from a BENCH_scale.json
+// Minimal extraction of {peers, events, events_per_sec} from a BENCH_scale.json
 // written by write_json above (or hand-edited to the same shape).
 std::vector<ScalePoint> read_baseline(const std::string& path) {
   std::ifstream in{path};
@@ -124,10 +126,12 @@ std::vector<ScalePoint> read_baseline(const std::string& path) {
   std::string line;
   while (std::getline(in, line)) {
     const char* peers_key = std::strstr(line.c_str(), "\"peers\":");
+    const char* events_key = std::strstr(line.c_str(), "\"events\":");
     const char* rate_key = std::strstr(line.c_str(), "\"events_per_sec\":");
-    if (peers_key == nullptr || rate_key == nullptr) continue;
+    if (peers_key == nullptr || events_key == nullptr || rate_key == nullptr) continue;
     ScalePoint p;
     p.peers = std::atoi(peers_key + std::strlen("\"peers\":"));
+    p.events = std::strtoull(events_key + std::strlen("\"events\":"), nullptr, 10);
     p.events_per_sec = std::atof(rate_key + std::strlen("\"events_per_sec\":"));
     points.push_back(p);
   }
@@ -135,7 +139,8 @@ std::vector<ScalePoint> read_baseline(const std::string& path) {
 }
 
 // Gate: every size present in both runs must hold events/sec within the
-// tolerance band below the baseline. Faster is always fine.
+// tolerance band below the baseline (faster is always fine) and process
+// exactly the baseline's events, which no machine speed can change.
 int compare_against_baseline(const std::vector<ScalePoint>& current) {
   const ScaleOptions& opts = scale_options();
   const std::vector<ScalePoint> baseline = read_baseline(opts.compare_path);
@@ -154,6 +159,12 @@ int compare_against_baseline(const std::vector<ScalePoint>& current) {
     std::printf("gate: %d peers — %.0f ev/s vs baseline %.0f (%.2fx) %s\n", p.peers,
                 p.events_per_sec, base->events_per_sec, ratio, ok ? "ok" : "REGRESSION");
     failures += ok ? 0 : 1;
+    if (p.events != base->events) {
+      std::printf("gate: %d peers — %llu events vs baseline %llu: WORKLOAD DRIFT\n", p.peers,
+                  static_cast<unsigned long long>(p.events),
+                  static_cast<unsigned long long>(base->events));
+      ++failures;
+    }
   }
   return failures == 0 ? 0 : 1;
 }

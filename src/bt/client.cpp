@@ -1095,7 +1095,11 @@ void Client::handle_piece(PeerConnection& peer, const WireMessage& msg) {
   if (result == BlockResult::kPieceComplete) {
     on_piece_completed(msg.piece);
   } else if (result == BlockResult::kPieceCorrupt) {
+    // A strike can ban this very peer, and the ban's abort drops (frees) its
+    // connection; fill_requests would skip a banned peer anyway.
+    const PeerId sender = peer.remote_id;
     handle_corrupt_piece(msg.piece);
+    if (is_banned(sender)) return;
   }
   fill_requests(peer);
 }

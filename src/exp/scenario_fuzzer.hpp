@@ -388,11 +388,7 @@ class ScenarioFuzzer {
     return s;
   }
 
-  // `queue_kind` selects the simulator's event-queue implementation; verdicts
-  // and trace hashes must not depend on it (the queue-equivalence property
-  // test runs every scenario under both kinds and compares).
-  FuzzVerdict run(const Scenario& scenario,
-                  sim::EventQueueKind queue_kind = sim::EventQueueKind::kCalendar) const {
+  FuzzVerdict run(const Scenario& scenario) const {
     // Sinks are declared before the swarm: teardown of clients/connections
     // can still emit trace events, so the recorder must outlive the world.
     trace::Recorder recorder{/*ring_capacity=*/4};
@@ -405,7 +401,7 @@ class ScenarioFuzzer {
                                      scenario.seed ^ 0xa076bd5f3017c1d3ULL);
     bt::TrackerConfig tracker_config;
     tracker_config.max_peers_returned = scenario.tracker_peers;
-    Swarm swarm{scenario.seed, meta, tracker_config, queue_kind};
+    Swarm swarm{scenario.seed, meta, tracker_config};
     for (int t = 1; t < scenario.trackers; ++t) {
       swarm.add_backup_tracker(/*tier=*/t, tracker_config);
     }

@@ -28,9 +28,8 @@ class Swarm {
     bt::Client* operator->() const { return client.get(); }
   };
 
-  Swarm(std::uint64_t seed, bt::Metainfo meta, bt::TrackerConfig tracker_config = {},
-        sim::EventQueueKind queue_kind = sim::EventQueueKind::kCalendar)
-      : world{seed, queue_kind}, meta{std::move(meta)}, tracker{world.sim, tracker_config} {}
+  Swarm(std::uint64_t seed, bt::Metainfo meta, bt::TrackerConfig tracker_config = {})
+      : world{seed}, meta{std::move(meta)}, tracker{world.sim, tracker_config} {}
 
   Member& add_wired(const std::string& name, bool is_seed, bt::ClientConfig config = {},
                     net::WiredParams link = {}, tcp::TcpParams tcp_params = {}) {

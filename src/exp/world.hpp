@@ -34,9 +34,7 @@ class World {
     net::CellLink* cell_link() { return dynamic_cast<net::CellLink*>(node->access()); }
   };
 
-  explicit World(std::uint64_t seed = 1,
-                 sim::EventQueueKind queue_kind = sim::EventQueueKind::kCalendar)
-      : sim{seed, queue_kind}, net{sim} {}
+  explicit World(std::uint64_t seed = 1) : sim{seed}, net{sim} {}
 
   Host& add_wired_host(std::string name, net::WiredParams params = {},
                        tcp::TcpParams tcp_params = {}) {

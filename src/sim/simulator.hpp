@@ -1,16 +1,16 @@
 // Discrete-event simulation kernel.
 //
-// A Simulator owns the virtual clock, a pending-event queue, and the root
-// random stream. Events are arbitrary callbacks; ties at equal timestamps
-// execute in scheduling order (FIFO), which the protocol state machines rely
-// on for determinism. The queue is a calendar queue by default (amortised
-// O(1) at 10k–100k-peer scale); the old binary heap stays selectable for
-// differential tests — both produce bit-identical event order.
+// A Simulator owns the virtual clock, the pending events, and the root random
+// stream. Events are arbitrary callbacks; ties at equal timestamps execute in
+// scheduling order (FIFO), which the protocol state machines rely on for
+// determinism. Each closure is written once into a slab slot and runs from
+// there; the calendar queue orders small (time, id, slot) keys (see
+// sim/event_queue.hpp).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_set>
+#include <optional>
 #include <utility>
 
 #include "sim/event_queue.hpp"
@@ -26,18 +26,13 @@ namespace wp2p::sim {
 
 class Simulator {
  public:
-  using Handler = Event::Handler;
-
-  explicit Simulator(std::uint64_t seed = 1,
-                     EventQueueKind queue_kind = EventQueueKind::kCalendar)
-      : queue_kind_{queue_kind}, rng_{seed} {}
+  explicit Simulator(std::uint64_t seed = 1) : rng_{seed} {}
 
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
   SimTime now() const { return now_; }
   Rng& rng() { return rng_; }
-  EventQueueKind queue_kind() const { return queue_kind_; }
 
   // Structured-trace recorder for components simulated on this clock (see
   // trace/trace.hpp). Null (the default) means tracing is off and every
@@ -47,59 +42,59 @@ class Simulator {
   trace::Recorder* tracer() const { return tracer_; }
   void set_tracer(trace::Recorder* tracer) { tracer_ = tracer; }
 
-  // Schedule `handler` at absolute virtual time `t` (>= now).
-  EventId at(SimTime t, Handler handler) {
+  // Schedule `handler` at absolute virtual time `t` (>= now). The n-th call
+  // returns id n. The closure is constructed in its slab slot, not moved there.
+  template <typename F>
+  EventId at(SimTime t, F&& handler) {
     WP2P_ASSERT_MSG(t >= now_, "cannot schedule into the past");
-    EventId id = ++next_id_;
-    push(Event{t, id, std::move(handler)});
-    live_.insert(id);
+    const std::uint32_t slot = slab_.emplace(std::forward<F>(handler));
+    const EventId id = ++next_id_;
+    index_.insert(id, slot);
+    queue_.push({t, id, slot});
     return id;
   }
 
   // Schedule `handler` after a relative delay (>= 0).
-  EventId after(SimTime delay, Handler handler) {
+  template <typename F>
+  EventId after(SimTime delay, F&& handler) {
     WP2P_ASSERT(delay >= 0);
-    return at(now_ + delay, std::move(handler));
+    return at(now_ + delay, std::forward<F>(handler));
   }
 
   // Cancel a pending event. Cancelling an already-fired, already-cancelled,
   // or never-scheduled id is a harmless no-op, which lets owners cancel
-  // defensively in dtors. Only live ids are tracked, so stale cancels cannot
-  // accumulate state or skew has_pending(). The tombstoned entry — and the
-  // closure state it captured — is swept eagerly once tombstones dominate the
-  // queue, so reschedule-heavy workloads (RTO timers, announce backoff,
-  // PeriodicTask churn) hold O(live) memory, not O(ever-scheduled).
+  // defensively in dtors. Only live ids are indexed, so stale cancels cannot
+  // accumulate state or skew has_pending(). The cancelled key stays in the
+  // queue as a tombstone, and the closure it points at — with the state it
+  // captured — lives until the tombstone is popped or swept. Sweeps run
+  // eagerly once tombstones dominate the queue, so reschedule-heavy workloads
+  // (RTO timers, announce backoff, PeriodicTask churn) hold O(live) memory,
+  // not O(ever-scheduled).
   void cancel(EventId id) {
-    if (live_.erase(id) == 0) return;
+    const std::optional<std::uint32_t> slot = index_.take(id);
+    if (!slot) return;
+    slab_.cancel(*slot);
     const std::size_t stored = queue_entries();
-    if (stored >= kCompactMinEntries && (stored - live_.size()) * 2 > stored) {
+    if (stored >= kCompactMinEntries && (stored - index_.size()) * 2 > stored) {
       compact();
     }
   }
 
-  bool has_pending() const { return !live_.empty(); }
+  bool has_pending() const { return index_.size() > 0; }
 
   // Execute the next event. Returns false if the queue is empty.
   bool step() {
-    while (queue_entries() > 0) {
-      Event e = pop_min();
-      if (live_.erase(e.id) == 0) continue;  // cancelled before it fired
-      WP2P_ASSERT(e.time >= now_);
-      now_ = e.time;
-      ++processed_;
-      e.handler();
-      return true;
-    }
-    return false;
+    if (!drop_cancelled_head()) return false;
+    fire(queue_.pop_min());
+    return true;
   }
 
   // Run events until the queue drains or the clock would pass `horizon`.
   // The clock is left at min(horizon, time of last event) — i.e. reaching the
   // horizon advances the clock to exactly the horizon.
   void run_until(SimTime horizon) {
-    while (queue_entries() > 0) {
-      if (peek_time() > horizon) break;
-      step();
+    while (drop_cancelled_head() && queue_.min_key().time <= horizon) {
+      fire(queue_.pop_min());
     }
     if (now_ < horizon) now_ = horizon;
   }
@@ -112,11 +107,9 @@ class Simulator {
 
   std::uint64_t events_processed() const { return processed_; }
 
-  // Entries physically stored in the queue, cancellation tombstones included.
+  // Keys physically stored in the queue, cancellation tombstones included.
   // Diagnostics / regression tests only; callers want has_pending().
-  std::size_t queue_entries() const {
-    return queue_kind_ == EventQueueKind::kCalendar ? calendar_.size() : heap_.size();
-  }
+  std::size_t queue_entries() const { return queue_.size(); }
 
  private:
   // Sweep tombstones once they are the majority of a non-trivial queue: the
@@ -124,49 +117,45 @@ class Simulator {
   // worth rebuilding.
   static constexpr std::size_t kCompactMinEntries = 64;
 
-  void push(Event e) {
-    if (queue_kind_ == EventQueueKind::kCalendar) {
-      calendar_.push(std::move(e));
-    } else {
-      heap_.push(std::move(e));
+  // Pop and release cancelled keys at the head. Returns whether a live event
+  // is left to run.
+  bool drop_cancelled_head() {
+    while (!queue_.empty()) {
+      const QueueKey k = queue_.min_key();
+      if (slab_.live(k.slot)) return true;
+      queue_.pop_min();
+      slab_.release(k.slot);
     }
+    return false;
   }
 
-  Event pop_min() {
-    return queue_kind_ == EventQueueKind::kCalendar ? calendar_.pop_min() : heap_.pop_min();
-  }
-
-  EventKey min_key() {
-    return queue_kind_ == EventQueueKind::kCalendar ? calendar_.min_key() : heap_.min_key();
+  // Run a live event popped from the queue. The closure runs in place — a
+  // handler may schedule, cancel or grow the slab freely — and is destroyed
+  // once it returns.
+  void fire(const QueueKey& k) {
+    index_.take(k.id);
+    WP2P_ASSERT(k.time >= now_);
+    now_ = k.time;
+    ++processed_;
+    slab_[k.slot]();
+    slab_.release(k.slot);
   }
 
   void compact() {
-    const auto keep = [this](EventId id) { return live_.contains(id); };
-    if (queue_kind_ == EventQueueKind::kCalendar) {
-      calendar_.compact(keep);
-    } else {
-      heap_.compact(keep);
-    }
-  }
-
-  SimTime peek_time() {
-    // Skip over cancelled heads so the horizon check sees the real next event.
-    while (queue_entries() > 0) {
-      const EventKey k = min_key();
-      if (live_.contains(k.id)) return k.time;
-      pop_min();
-    }
-    return kSimTimeMax;
+    queue_.compact([this](const QueueKey& k) {
+      if (slab_.live(k.slot)) return true;
+      slab_.release(k.slot);
+      return false;
+    });
   }
 
   SimTime now_ = 0;
   trace::Recorder* tracer_ = nullptr;
-  EventQueueKind queue_kind_;
   EventId next_id_ = 0;
   std::uint64_t processed_ = 0;
-  CalendarQueue calendar_;  // used when queue_kind_ == kCalendar
-  BinaryHeapQueue heap_;    // used when queue_kind_ == kBinaryHeap
-  std::unordered_set<EventId> live_;  // scheduled, not yet fired or cancelled
+  EventSlab slab_;       // closures of stored events, live or tombstoned
+  CalendarQueue queue_;  // their keys
+  EventIndex index_;     // live id -> slot
   Rng rng_;
 };
 

@@ -33,8 +33,8 @@
 #include <deque>
 #include <functional>
 #include <optional>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -189,7 +189,7 @@ class StableStorage {
   std::string label_;
   Rng rng_;
   std::deque<Record> journal_;
-  std::unordered_set<int> rotted_;
+  std::set<int> rotted_;
   std::uint64_t next_seq_ = 0;
   Stats stats_;
 };
