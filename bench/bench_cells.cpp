@@ -12,9 +12,7 @@
 //      grown row by row: naive, +AM (ACK moderation), +RR (identity retention
 //      + role reversal), +PEX (gossip + bootstrap cache).
 //
-// Flags (on top of the shared bench flags):
-//   --cells N   cells in the roaming-storm topology (default 3)
-//   --roam S    commuter hand-off interval in seconds (default 18)
+// `--cells` and `--roam` (see --help) shape the roaming-storm table.
 //
 // Output is byte-identical for any --jobs: every sweep runs through
 // bench::over_seeds_map and aggregates in run-index order.
@@ -283,33 +281,12 @@ int roaming_storm_table() {
 
 int main(int argc, char** argv) {
   wp2p::CellBenchOptions& copts = wp2p::cell_options();
-  std::vector<char*> shared_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (arg == "--cells") {
-      copts.cells = std::atoi(value());
-      if (copts.cells < 1) {
-        std::fprintf(stderr, "--cells: need at least 1\n");
-        return 2;
-      }
-    } else if (arg == "--roam") {
-      copts.roam_interval_s = std::atof(value());
-      if (copts.roam_interval_s <= 0.0) {
-        std::fprintf(stderr, "--roam: bad interval\n");
-        return 2;
-      }
-    } else {
-      shared_args.push_back(argv[i]);
-    }
-  }
-  wp2p::bench::ArgParser{static_cast<int>(shared_args.size()), shared_args.data()};
+  wp2p::bench::ArgParser{
+      argc,
+      argv,
+      {{"--cells", &copts.cells, 1, "cells in the roaming-storm topology (default 3)"},
+       {"--roam", &copts.roam_interval_s, 0,
+        "commuter hand-off interval in seconds (default 18)"}}};
 
   int rc = wp2p::flash_crowd_table();
   const int storm_rc = wp2p::roaming_storm_table();

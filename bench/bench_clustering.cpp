@@ -23,8 +23,7 @@
 // interest in it and its unchoke time drifts down-tier exactly like a seed's
 // would.
 //
-// Flags (on top of the shared bench flags):
-//   --roam S    mid-tier hand-off interval in seconds (default 25)
+// `--roam` (see --help) sets the mid tier's hand-off interval.
 //
 // Output is byte-identical for any --jobs: every sweep runs through
 // bench::over_seeds_map and aggregates in run-index order.
@@ -496,24 +495,11 @@ int mobile_exile_table() {
 
 int main(int argc, char** argv) {
   wp2p::ClusterBenchOptions& copts = wp2p::cluster_options();
-  std::vector<char*> shared_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--roam") {
-      if (++i >= argc) {
-        std::fprintf(stderr, "--roam expects a value\n");
-        return 2;
-      }
-      copts.roam_interval_s = std::atof(argv[i]);
-      if (copts.roam_interval_s <= 0.0) {
-        std::fprintf(stderr, "--roam: bad interval\n");
-        return 2;
-      }
-    } else {
-      shared_args.push_back(argv[i]);
-    }
-  }
-  wp2p::bench::ArgParser{static_cast<int>(shared_args.size()), shared_args.data()};
+  wp2p::bench::ArgParser{
+      argc,
+      argv,
+      {{"--roam", &copts.roam_interval_s, 0,
+        "mid-tier hand-off interval in seconds (default 25)"}}};
 
   int rc = wp2p::clustering_table();
   const int rider_rc = wp2p::free_rider_table();

@@ -2,62 +2,29 @@
 //
 // Default mode: a table of swarm outcomes (leech completion, goodput, applied
 // faults) under canonical fault schedules — the regression surface for the
-// fault layer itself. Extra modes:
+// fault layer itself — then the announce-recovery and blackout tables. The
+// bench::Flag list in main() names the other modes (see --help):
 //
-//   --fuzz N            run N random scenarios through exp::ScenarioFuzzer on
-//                       the worker pool; any failure is shrunk to a minimal
-//                       reproducing scenario and printed for the corpus
-//                       (tests/integration/corpus/). Exit 1 on failure.
-//   --fuzz-seed S       base seed for --fuzz (default 1).
-//   --max-cells N       enable the fuzzer's cellular slice: generated
-//                       scenarios may request up to N-cell topologies with
-//                       cellular stations and cell-targeted faults (outage,
-//                       BER, roam storms). Default 0 keeps the legacy
-//                       scenario space byte-identical.
-//   --max-classes N     enable the fuzzer's bandwidth-class slice: wired
-//                       leeches may be assigned one of N heterogeneous
-//                       bandwidth tiers (class= scenario key; link shape +
-//                       upload limit from exp::three_tier_classes, cycled).
-//                       Default 0 keeps the legacy scenario space
-//                       byte-identical.
-//   --max-adversaries N enable the fuzzer's adversary slice: generated
-//                       scenarios may add up to N scripted misbehaving peers
-//                       (adv= scenario key; kinds from bt/adversary.hpp).
-//                       Default 0 keeps the legacy scenario space
-//                       byte-identical.
-//   --max-suspends N    enable the fuzzer's suspend/resume slice: generated
-//                       scenarios may suspend apps mid-run (susp=/store=
-//                       scenario keys; every honest peer journals resume
-//                       snapshots through fault-injected stable storage —
-//                       torn writes, stale drops, commit stalls). Default 0
-//                       keeps the legacy scenario space byte-identical.
-//   --replay FILE       parse a scenario spec (see TESTING.md) and run it
-//                       once; exit 1 if it fails.
-//   --break-cwnd-floor  disable TCP's 1-MSS cwnd floor in fuzzed/replayed
-//                       scenarios. The invariant checker must catch this —
-//                       it is the fuzz harness's self-test.
-//   --no-ban            disable corruption banning (ClientConfig
-//                       unsafe_no_peer_ban) in fuzzed/replayed scenarios;
-//                       the peer-ban invariant rule must catch this.
-//   --no-enforcement    disable the protocol-enforcement actions (ClientConfig
-//                       unsafe_no_enforcement: detections still count and
-//                       trace, strikes never fire) in fuzzed/replayed
-//                       scenarios; under adversary peers the enforce-*
-//                       invariant rules must catch this.
-//   --blackout          run only the tracker-blackout survivability table:
-//                       completion under a total tracker blackout with each
-//                       of {naive, failover, failover+PEX, +bootstrap-cache}.
-//                       The full stack completes during the blackout; the
-//                       naive swarm stalls until the primary returns. Exit 1
-//                       if that contract breaks. (Also part of the default
-//                       table run.)
-//   --poison            recovery-layer self-test: a swarm with a poisoning
-//                       seed (whole-run kCorrupt fault) is run twice. With
-//                       banning disabled the leeches keep accepting damaged
-//                       pieces (waste inflates, invariants flag the run);
-//                       with banning enabled they ban the poisoner and
-//                       complete from the clean seed. Exit 1 if either half
-//                       misbehaves.
+//   --fuzz N   runs N random scenarios through exp::ScenarioFuzzer on the
+//              worker pool; any failure is shrunk to a minimal reproducing
+//              scenario and printed for the corpus (tests/integration/corpus/).
+//              Exit 1 on failure. Each --max-* flag opens one slice of the
+//              scenario space (cells, bandwidth classes, adversaries,
+//              app suspends over fault-injected storage); its default 0 draws
+//              nothing extra, so legacy seeds reproduce byte-identically.
+//   --replay   parses a scenario spec (see TESTING.md) and runs it once.
+//   --break-cwnd-floor, --no-ban, --no-enforcement  harness self-tests: each
+//              disables one defense (TCP's 1-MSS cwnd floor, or ClientConfig's
+//              unsafe_no_peer_ban / unsafe_no_enforcement) in fuzzed and
+//              replayed scenarios, and the invariant checker must catch it.
+//   --blackout runs only the tracker-blackout survivability table: the full
+//              discovery stack completes during the blackout, the naive swarm
+//              stalls until the primary returns. Exit 1 if that breaks.
+//   --poison   runs a swarm with a poisoning seed twice: with banning off the
+//              leeches keep accepting damaged pieces (waste inflates,
+//              invariants flag the run); with banning on they ban the poisoner
+//              and complete from the clean seed. Exit 1 if either half
+//              misbehaves.
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -580,68 +547,25 @@ int replay_mode() {
 }  // namespace wp2p
 
 int main(int argc, char** argv) {
-  // Peel off this binary's own flags before the shared parser (which rejects
-  // anything it does not know).
   wp2p::FaultBenchOptions& fopts = wp2p::fault_options();
-  std::vector<char*> shared_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (arg == "--fuzz") {
-      fopts.fuzz = std::atoi(value());
-      if (fopts.fuzz <= 0) {
-        std::fprintf(stderr, "--fuzz: bad count\n");
-        return 2;
-      }
-    } else if (arg == "--fuzz-seed") {
-      fopts.fuzz_seed = std::strtoull(value(), nullptr, 10);
-    } else if (arg == "--max-cells") {
-      fopts.max_cells = std::atoi(value());
-      if (fopts.max_cells < 0) {
-        std::fprintf(stderr, "--max-cells: bad count\n");
-        return 2;
-      }
-    } else if (arg == "--max-classes") {
-      fopts.max_classes = std::atoi(value());
-      if (fopts.max_classes < 0) {
-        std::fprintf(stderr, "--max-classes: bad count\n");
-        return 2;
-      }
-    } else if (arg == "--max-adversaries") {
-      fopts.max_adversaries = std::atoi(value());
-      if (fopts.max_adversaries < 0) {
-        std::fprintf(stderr, "--max-adversaries: bad count\n");
-        return 2;
-      }
-    } else if (arg == "--max-suspends") {
-      fopts.max_suspends = std::atoi(value());
-      if (fopts.max_suspends < 0) {
-        std::fprintf(stderr, "--max-suspends: bad count\n");
-        return 2;
-      }
-    } else if (arg == "--replay") {
-      fopts.replay_path = value();
-    } else if (arg == "--break-cwnd-floor") {
-      fopts.break_cwnd_floor = true;
-    } else if (arg == "--no-ban") {
-      fopts.no_ban = true;
-    } else if (arg == "--no-enforcement") {
-      fopts.no_enforcement = true;
-    } else if (arg == "--poison") {
-      fopts.poison = true;
-    } else if (arg == "--blackout") {
-      fopts.blackout_only = true;
-    } else {
-      shared_args.push_back(argv[i]);
-    }
-  }
-  wp2p::bench::ArgParser{static_cast<int>(shared_args.size()), shared_args.data()};
+  wp2p::bench::ArgParser{
+      argc,
+      argv,
+      {{"--fuzz", &fopts.fuzz, 1, "fuzz N generated scenarios; print failures shrunk"},
+       {"--fuzz-seed", &fopts.fuzz_seed, 0, "base seed for --fuzz (default 1)"},
+       {"--max-cells", &fopts.max_cells, 0, "fuzzer cellular slice: up to N cells"},
+       {"--max-classes", &fopts.max_classes, 0, "fuzzer bandwidth-class slice: up to N tiers"},
+       {"--max-adversaries", &fopts.max_adversaries, 0,
+        "fuzzer adversary slice: up to N attackers"},
+       {"--max-suspends", &fopts.max_suspends, 0, "fuzzer suspend/resume slice (N > 0)"},
+       {"--replay", &fopts.replay_path, 0, "run one scenario spec; exit 1 if it fails"},
+       {"--break-cwnd-floor", &fopts.break_cwnd_floor, 0,
+        "self-test: drop TCP's 1-MSS cwnd floor"},
+       {"--no-ban", &fopts.no_ban, 0, "self-test: never ban corrupt peers"},
+       {"--no-enforcement", &fopts.no_enforcement, 0,
+        "self-test: detect misbehaviour, never strike"},
+       {"--poison", &fopts.poison, 0, "corrupting-seed self-test, banning off vs on"},
+       {"--blackout", &fopts.blackout_only, 0, "run only the tracker-blackout table"}}};
 
   int rc;
   if (!fopts.replay_path.empty()) {

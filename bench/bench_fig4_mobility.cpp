@@ -82,8 +82,7 @@ void figure_4a() {
 
 // --- Figures 4(b,c) -----------------------------------------------------------
 
-std::vector<double> run_playability(std::uint64_t seed, std::int64_t file_size,
-                                    bt::SelectorKind selector) {
+std::vector<double> run_playability(std::uint64_t seed, std::int64_t file_size) {
   exp::World world{seed};
   bench::ScopedTrace trace{world.sim, "fig4bc/playability size=" +
                                           std::to_string(file_size)};
@@ -97,7 +96,6 @@ std::vector<double> run_playability(std::uint64_t seed, std::int64_t file_size,
 
   bt::ClientConfig leech_config;
   leech_config.announce_interval = sim::seconds(60.0);
-  leech_config.selector = selector;
   auto& leech_host = world.add_wired_host("leech");
   bt::Client leech{*leech_host.node, *leech_host.stack, tracker, meta, leech_config, false};
 
@@ -120,7 +118,7 @@ std::vector<double> run_playability(std::uint64_t seed, std::int64_t file_size,
 void figure_4bc(std::int64_t file_size, const char* which) {
   const int runs = 10;  // the paper averages over 10 runs
   auto per_run = bench::over_seeds_map<std::vector<double>>(runs, 800, [&](std::uint64_t s) {
-    return run_playability(s, file_size, bt::SelectorKind::kRarestFirst);
+    return run_playability(s, file_size);
   });
   std::vector<metrics::RunStats> stats(10);
   for (const auto& playable : per_run) {

@@ -5,24 +5,13 @@
 // hundreds to tens of thousands, and reports simulator throughput at each
 // point. Results persist to BENCH_scale.json so the scaling trajectory is
 // visible across PRs; CI runs a reduced sweep and gates on regression against
-// the committed baseline.
-//
-//   --sizes A,B,C   comma-separated background-peer counts
-//                   (default 100,1000,10000,50000)
-//   --duration S    simulated seconds per point (default 60)
-//   --out FILE      write results JSON (default BENCH_scale.json; "-" skips)
-//   --compare FILE  gate mode: fail (exit 1) if any matching size's
-//                   events/sec fell more than --tolerance below FILE's,
-//                   or its (deterministic) event count differs from FILE's
-//   --tolerance F   allowed fractional drop in gate mode (default 0.5)
-//
-// Shared flags (--seed, --csv, ...) are parsed by bench::ArgParser.
+// the committed baseline. The flags of this binary, with their --help
+// lines, are the bench::Flag list in main().
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -192,55 +181,21 @@ int scale_main() {
 }  // namespace wp2p
 
 int main(int argc, char** argv) {
-  // Peel off this binary's own flags before the shared parser (which rejects
-  // anything it does not know).
   wp2p::ScaleOptions& sopts = wp2p::scale_options();
-  std::vector<char*> shared_args{argv[0]};
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&]() -> const char* {
-      if (++i >= argc) {
-        std::fprintf(stderr, "%s expects a value\n", arg.c_str());
-        std::exit(2);
-      }
-      return argv[i];
-    };
-    if (arg == "--sizes") {
-      sopts.sizes.clear();
-      std::stringstream ss{value()};
-      std::string item;
-      while (std::getline(ss, item, ',')) {
-        const int n = std::atoi(item.c_str());
-        if (n < 0) {
-          std::fprintf(stderr, "--sizes: bad count '%s'\n", item.c_str());
-          return 2;
-        }
-        sopts.sizes.push_back(n);
-      }
-      if (sopts.sizes.empty()) {
-        std::fprintf(stderr, "--sizes: empty list\n");
-        return 2;
-      }
-    } else if (arg == "--duration") {
-      sopts.duration_s = std::atof(value());
-      if (sopts.duration_s <= 0) {
-        std::fprintf(stderr, "--duration: bad value\n");
-        return 2;
-      }
-    } else if (arg == "--out") {
-      sopts.out_path = value();
-    } else if (arg == "--compare") {
-      sopts.compare_path = value();
-    } else if (arg == "--tolerance") {
-      sopts.tolerance = std::atof(value());
-      if (sopts.tolerance <= 0 || sopts.tolerance >= 1) {
-        std::fprintf(stderr, "--tolerance: expected a fraction in (0,1)\n");
-        return 2;
-      }
-    } else {
-      shared_args.push_back(argv[i]);
-    }
+  wp2p::bench::ArgParser{
+      argc,
+      argv,
+      {{"--sizes", &sopts.sizes, 1,
+        "background-peer counts to sweep (default 100,1000,10000,50000)"},
+       {"--duration", &sopts.duration_s, 0, "simulated seconds per point (default 60)"},
+       {"--out", &sopts.out_path, 0,
+        "write results JSON (default BENCH_scale.json; \"-\" skips)"},
+       {"--compare", &sopts.compare_path, 0,
+        "gate mode: exit 1 on events/sec or event-count drift vs FILE"},
+       {"--tolerance", &sopts.tolerance, 0, "allowed fractional drop in gate mode (default 0.5)"}}};
+  if (sopts.tolerance >= 1) {
+    std::fprintf(stderr, "--tolerance: expected a fraction in (0,1)\n");
+    return 2;
   }
-  wp2p::bench::ArgParser{static_cast<int>(shared_args.size()), shared_args.data()};
   return wp2p::scale_main();
 }

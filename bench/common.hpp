@@ -1,10 +1,14 @@
 // Shared scaffolding for the figure-reproduction benches.
 #pragma once
 
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <sstream>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/wp2p_client.hpp"
@@ -39,16 +43,34 @@ inline exp::ParallelRunner& runner() {
   return pool;
 }
 
-// Parser for the flags shared by every bench binary. Construct it first thing
-// in main(); it fills options() and exits the process on --help or bad input.
+// A flag of one bench binary, parsed by ArgParser next to the shared ones.
+// The target's pointer type is the value kind: bool* is a switch, and
+// std::vector<int>* takes a comma-separated list. Numbers below `min` are
+// rejected (real values must exceed it; each list item is checked).
+struct Flag {
+  const char* name;
+  std::variant<bool*, int*, std::uint64_t*, double*, std::string*, std::vector<int>*> target;
+  double min;
+  const char* help;  // the --help line after the flag and its value
+};
+
+// Parser for the flags shared by every bench binary, plus that binary's own
+// `flags`. Construct it first thing in main(); it fills options() and the
+// flag targets, and exits the process on --help or bad input.
 class ArgParser {
  public:
-  ArgParser(int argc, char** argv) {
+  ArgParser(int argc, char** argv, const std::vector<Flag>& flags = {}) {
     BenchOptions& opts = options();
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") {
-        usage(argv[0], stdout);
+      const Flag* own = nullptr;
+      for (const Flag& flag : flags) {
+        if (arg == flag.name) own = &flag;
+      }
+      if (own != nullptr) {
+        parse_flag(*own, argc, argv, i);
+      } else if (arg == "--help" || arg == "-h") {
+        usage(argv[0], flags, stdout);
         std::exit(0);
       } else if (arg == "--runs") {
         opts.runs_override = parse_int(arg, next_value(argc, argv, i), 1);
@@ -66,7 +88,7 @@ class ArgParser {
       } else if (arg == "--check-invariants") {
         trace_options().check_invariants = true;
       } else {
-        usage(argv[0], stderr);
+        usage(argv[0], flags, stderr);
         fail("unknown flag: " + arg);
       }
     }
@@ -76,7 +98,7 @@ class ArgParser {
   }
 
  private:
-  static void usage(const char* prog, std::FILE* out) {
+  static void usage(const char* prog, const std::vector<Flag>& flags, std::FILE* out) {
     std::fprintf(out,
                  "usage: %s [--runs N] [--jobs N] [--seed S] [--csv] [--faults]"
                  " [--trace FILE] [--check-invariants]\n"
@@ -93,6 +115,51 @@ class ArgParser {
                  "  --check-invariants  replay traced events through the protocol\n"
                  "                      invariant checker; exit non-zero on violations\n",
                  prog);
+    for (const Flag& flag : flags) {
+      std::fprintf(out, "  %-19s %s\n", (flag.name + metavar(flag)).c_str(), flag.help);
+    }
+  }
+
+  static std::string metavar(const Flag& flag) {
+    if (std::holds_alternative<bool*>(flag.target)) return "";
+    if (std::holds_alternative<double*>(flag.target)) return " X";
+    if (std::holds_alternative<std::string*>(flag.target)) return " FILE";
+    if (std::holds_alternative<std::vector<int>*>(flag.target)) return " N,N,...";
+    return " N";
+  }
+
+  static void parse_flag(const Flag& flag, int argc, char** argv, int& i) {
+    if (bool* const* on = std::get_if<bool*>(&flag.target)) {
+      **on = true;
+      return;
+    }
+    const std::string name = flag.name;
+    const char* text = next_value(argc, argv, i);
+    const int min = static_cast<int>(flag.min);
+    if (int* const* out = std::get_if<int*>(&flag.target)) {
+      **out = parse_int(name, text, min, INT_MAX);
+    } else if (std::uint64_t* const* out = std::get_if<std::uint64_t*>(&flag.target)) {
+      char* end = nullptr;
+      errno = 0;
+      **out = std::strtoull(text, &end, 10);
+      if (end == text || *end != '\0' || errno != 0) fail(name + ": bad value '" + text + "'");
+    } else if (double* const* out = std::get_if<double*>(&flag.target)) {
+      char* end = nullptr;
+      **out = std::strtod(text, &end);
+      if (end == text || *end != '\0' || !(**out > flag.min)) {
+        fail(name + ": bad value '" + text + "'");
+      }
+    } else if (std::string* const* out = std::get_if<std::string*>(&flag.target)) {
+      **out = text;
+    } else if (std::vector<int>* const* out = std::get_if<std::vector<int>*>(&flag.target)) {
+      (*out)->clear();
+      std::stringstream items{text};
+      std::string item;
+      while (std::getline(items, item, ',')) {
+        (*out)->push_back(parse_int(name, item.c_str(), min, INT_MAX));
+      }
+      if ((*out)->empty()) fail(name + ": empty list");
+    }
   }
 
   [[noreturn]] static void fail(const std::string& message) {
@@ -105,10 +172,11 @@ class ArgParser {
     return argv[i];
   }
 
-  static int parse_int(const std::string& flag, const char* text, int min_value) {
+  static int parse_int(const std::string& flag, const char* text, int min_value,
+                       int max_value = 1 << 20) {
     char* end = nullptr;
     const long value = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || value < min_value || value > 1 << 20) {
+    if (end == text || *end != '\0' || value < min_value || value > max_value) {
       fail(flag + ": bad value '" + text + "'");
     }
     return static_cast<int>(value);

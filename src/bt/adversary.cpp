@@ -7,6 +7,20 @@
 
 namespace wp2p::bt {
 
+namespace {
+constexpr sim::SimTime kAnnounceInterval = sim::seconds(60.0);
+// Shared misbehavior clock: flood bursts, garbage frames, churn flips and
+// PEX spam all run off one periodic tick.
+constexpr sim::SimTime kTickInterval = sim::seconds(0.5);
+constexpr int kMaxDials = 16;            // victims dialed per announce response
+constexpr int kFloodBurst = 64;          // requests blasted per tick per session
+constexpr int kGarbagePerTick = 4;       // malformed frames per tick per session
+constexpr int kPexSpamEntries = 64;      // bogus entries per spam message
+constexpr int kPexSpamEveryTicks = 8;    // spam message cadence in ticks
+constexpr sim::SimTime kSlowDelay = sim::seconds(45.0);  // slowloris per-block service time
+constexpr double kWithholdFraction = 0.25;  // slice of advertised pieces never served
+}  // namespace
+
 const char* to_string(AdversaryKind kind) {
   switch (kind) {
     case AdversaryKind::kSlowloris: return "slowloris";
@@ -38,9 +52,8 @@ AdversaryPeer::AdversaryPeer(net::Node& node, tcp::Stack& stack, Tracker& tracke
       rng_{node.sim().rng().fork()},
       full_{meta.piece_count()},
       empty_{meta.piece_count()},
-      announce_task_{sim_, config.announce_interval,
-                     [this] { do_announce(AnnounceEvent::kInterval); }},
-      tick_task_{sim_, config.tick_interval, [this] { tick(); }} {
+      announce_task_{sim_, kAnnounceInterval, [this] { do_announce(AnnounceEvent::kInterval); }},
+      tick_task_{sim_, kTickInterval, [this] { tick(); }} {
   peer_id_ = rng_.next_u64() | 1;
   full_.set_all();
   alive_ = std::make_shared<bool>(true);
@@ -80,8 +93,7 @@ const Bitfield& AdversaryPeer::advertised_bitfield() const {
 
 bool AdversaryPeer::withheld(int piece) const {
   if (config_.kind != AdversaryKind::kWithholder) return false;
-  const int cut = static_cast<int>(config_.withhold_fraction *
-                                   static_cast<double>(meta_.piece_count()));
+  const int cut = static_cast<int>(kWithholdFraction * static_cast<double>(meta_.piece_count()));
   return piece < cut;
 }
 
@@ -125,7 +137,7 @@ void AdversaryPeer::do_announce(AnnounceEvent event) {
     const net::Endpoint self{node_.address(), config_.listen_port};
     int dialed = 0;
     for (const TrackerPeerInfo& info : result.peers) {
-      if (dialed >= config_.max_dials) break;
+      if (dialed >= kMaxDials) break;
       if (info.endpoint == self || info.peer_id == peer_id_) continue;
       if (announces_as_seed() && info.seed) continue;  // seeds won't trade with us
       bool connected = false;
@@ -248,11 +260,11 @@ void AdversaryPeer::handle_request(Session& s, const WireMessage& msg) {
       }
       break;
     case AdversaryKind::kSlowloris: {
-      // Serve, but one block per slow_delay: the backlog timestamp pushes
+      // Serve, but one block per kSlowDelay: the backlog timestamp pushes
       // every further request past the victim's patience.
       Session* sp = &s;
       sp->serve_backlog_until =
-          std::max(sp->serve_backlog_until, sim_.now()) + config_.slow_delay;
+          std::max(sp->serve_backlog_until, sim_.now()) + kSlowDelay;
       const sim::SimTime at = sp->serve_backlog_until - sim_.now();
       const int piece = msg.piece;
       const std::int64_t offset = msg.offset, length = msg.length;
@@ -312,10 +324,7 @@ void AdversaryPeer::tick() {
         }
         break;
       case AdversaryKind::kPexSpammer:
-        if (config_.pex_spam_every_ticks > 0 &&
-            ticks_ % config_.pex_spam_every_ticks == 0) {
-          send_pex_spam(*s);
-        }
+        if (ticks_ % kPexSpamEveryTicks == 0) send_pex_spam(*s);
         break;
       case AdversaryKind::kSlowloris:
       case AdversaryKind::kLiar:
@@ -330,7 +339,7 @@ void AdversaryPeer::flood_session(Session& s) {
   // any honest pipeline, sent choked or not.
   const int pieces = meta_.piece_count();
   if (pieces == 0) return;
-  for (int i = 0; i < config_.flood_burst; ++i) {
+  for (int i = 0; i < kFloodBurst; ++i) {
     const int piece = static_cast<int>(rng_.below(static_cast<std::uint64_t>(pieces)));
     const std::int64_t length = std::min<std::int64_t>(kBlockSize, meta_.piece_size(piece));
     send(s, WireMessage::request(piece, 0, length));
@@ -341,7 +350,7 @@ void AdversaryPeer::flood_session(Session& s) {
 void AdversaryPeer::send_garbage(Session& s) {
   // Rotate through the malformation variants bt::malformed_reason rejects.
   // Payload-free frames only: the point is hostile *structure*, not bulk.
-  for (int i = 0; i < config_.garbage_per_tick; ++i) {
+  for (int i = 0; i < kGarbagePerTick; ++i) {
     const int pieces = meta_.piece_count();
     std::shared_ptr<const WireMessage> msg;
     switch (s.garbage_cursor++ % 5) {
@@ -363,8 +372,8 @@ void AdversaryPeer::send_pex_spam(Session& s) {
   // Structurally bogus gossip: zero endpoints and anonymous identities, the
   // shapes no honest client ever emits.
   std::vector<PexPeer> added;
-  added.reserve(static_cast<std::size_t>(config_.pex_spam_entries));
-  for (int i = 0; i < config_.pex_spam_entries; ++i) {
+  added.reserve(static_cast<std::size_t>(kPexSpamEntries));
+  for (int i = 0; i < kPexSpamEntries; ++i) {
     PexPeer entry;
     if (i % 2 == 0) {
       entry.endpoint = net::Endpoint{};  // invalid address/port

@@ -6,7 +6,7 @@
 // one scripted way per AdversaryKind. Each kind targets one enforcement
 // defense in bt::Client:
 //
-//   kSlowloris   unchokes every victim but serves one block per slow_delay,
+//   kSlowloris   unchokes every victim but serves one block per 45 s,
 //                pinning request pipelines (stall auditor).
 //   kLiar        advertises a full bitfield and never serves a byte
 //                (zero-payload liar detection).
@@ -14,7 +14,7 @@
 //                or not (request quota / backlog cap).
 //   kGarbage     sends struct-malformed frames — bad indexes, impossible
 //                lengths, wrong-torrent bitfields (malformation budget).
-//   kChurner     serves honestly but flips choke/unchoke every churn_interval
+//   kChurner     serves honestly but flips choke/unchoke every tick
 //                (unchoke-churn window).
 //   kWithholder  advertises everything, silently refuses a withheld slice
 //                (repeat-piece liar detection).
@@ -66,20 +66,11 @@ inline constexpr AdversaryKind kAllAdversaryKinds[] = {
     AdversaryKind::kPexSpammer,
 };
 
+// The attack shapes (tick rate, burst sizes, slowloris delay, withheld
+// slice) are constants in adversary.cpp.
 struct AdversaryConfig {
   AdversaryKind kind = AdversaryKind::kSlowloris;
   std::uint16_t listen_port = 6881;
-  sim::SimTime announce_interval = sim::seconds(60.0);
-  // Shared misbehavior clock: flood bursts, garbage frames, churn flips and
-  // PEX spam all run off one periodic tick.
-  sim::SimTime tick_interval = sim::seconds(0.5);
-  int max_dials = 16;             // victims dialed per announce response
-  int flood_burst = 64;           // requests blasted per tick per session
-  int garbage_per_tick = 4;       // malformed frames per tick per session
-  int pex_spam_entries = 64;      // bogus entries per spam message
-  int pex_spam_every_ticks = 8;   // spam message cadence in ticks
-  sim::SimTime slow_delay = sim::seconds(45.0);  // slowloris per-block service time
-  double withhold_fraction = 0.25;  // slice of advertised pieces never served
 };
 
 struct AdversaryStats {

@@ -1,6 +1,7 @@
 #include "bt/client.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "trace/recorder.hpp"
@@ -22,14 +23,98 @@ constexpr const char* kLog = "bt";
   return static_cast<double>(ep.addr.value) * 65536.0 + static_cast<double>(ep.port);
 }
 
-std::unique_ptr<PieceSelector> make_selector(SelectorKind kind) {
-  switch (kind) {
-    case SelectorKind::kRarestFirst: return std::make_unique<RarestFirstSelector>();
-    case SelectorKind::kSequential: return std::make_unique<SequentialSelector>();
-    case SelectorKind::kRandom: return std::make_unique<RandomSelector>();
-  }
-  return std::make_unique<RarestFirstSelector>();
-}
+constexpr sim::SimTime kCreditHalfLife = sim::minutes(10.0);
+constexpr std::int64_t kMaxTcpBacklog = 128 * 1024;  // per-peer TCP send buffering cap
+constexpr sim::SimTime kUploadPumpInterval = sim::milliseconds(50.0);
+
+// First delay of the announce retry chain (doubling up to announce_retry_cap).
+constexpr sim::SimTime kAnnounceRetryInitial = sim::seconds(2.0);
+// Jitter factor: each retry delay is base * (1 + jitter * u), u in [-1, 1)
+// drawn from the client's own RNG stream (deterministic per seed).
+constexpr double kAnnounceRetryJitter = 0.25;
+
+// Corruption defense: a completed piece that fails verification earns each
+// contributing peer of the damaged blocks a strike; a peer reaching
+// kBanThreshold strikes is banned (disconnected, never re-dialed, refused
+// on handshake, skipped in announce responses, no unchoke slots).
+constexpr int kBanThreshold = 3;
+
+// Reconnect backoff doubles from reconnect_initial up to this cap, and gives
+// up on an endpoint after this many dials.
+constexpr sim::SimTime kReconnectCap = sim::seconds(60.0);
+constexpr int kReconnectMaxAttempts = 4;
+
+// Bootstrap cache capacity, and the least time between two cache re-dials.
+constexpr std::size_t kBootstrapCacheSize = 16;
+constexpr sim::SimTime kBootstrapMinInterval = sim::seconds(30.0);
+
+// --- Protocol enforcement budgets ---------------------------------------------
+// Detections are always counted and traced; every threshold crossing feeds
+// one enforcement strike into the same strike/ban path as corruption
+// (kBtPeerStrike with aux "enforce-*"), so a persistent attacker is banned
+// after kBanThreshold crossings.
+//
+// Per-peer request backlog cap: requests beyond this many outstanding
+// uploads from one peer are dropped as flood evidence.
+constexpr int kMaxRequestBacklog = 128;
+// Bitfield/have liar + withholder detection: a piece only counts as a repeat
+// offender after this many maintenance passes with no block of it delivered
+// in between.
+constexpr int kLiarRepeatPasses = 3;
+// Stall auditor: a peer continuously snubbed (unchoked us, sent nothing) for
+// this many consecutive maintenance ticks earns one stall audit. The mobility
+// grace keeps hand-off stalls out of this count.
+constexpr int kStallAuditTicks = 6;
+// Unchoke churner: more than kChurnFlipThreshold unchokes from one peer
+// inside kChurnWindow are churn evidence.
+constexpr int kChurnFlipThreshold = 16;
+constexpr sim::SimTime kChurnWindow = sim::seconds(60.0);
+// PEX endpoint sanity: one sender gets to introduce at most this many unique
+// endpoints; anything beyond is filtered before it can poison the
+// known-endpoint table or trigger dials.
+constexpr int kPexEndpointBudget = 64;
+// Mobility grace: after evidence a peer moved (its connection died by TCP
+// timeout, or its identity re-handshook from a new address), its stall and
+// liar counters are held for this long — hand-off churn must never
+// accumulate misbehavior score.
+constexpr sim::SimTime kMobilityGrace = sim::seconds(120.0);
+
+// Evidence each offense category must accumulate per strike, and how a
+// crossing is traced. Indexed by Offense.
+struct OffenseRule {
+  int threshold;
+  trace::Kind kind;
+  const char* label;
+};
+constexpr std::array<OffenseRule, kOffenseKinds> kOffenseRules{{
+    // Dropped-or-choked requests beyond the allowance.
+    {64, trace::Kind::kBtFloodDetect, "enforce-flood"},
+    // Struct-malformed frames (see bt::malformed_reason). Real stacks kill on
+    // the first, but counting in budget-sized steps keeps detection
+    // observable under --no-enforcement.
+    {4, trace::Kind::kBtMalformed, "enforce-malformed"},
+    // Request timeouts against a peer that has delivered zero payload, or
+    // repeat timeouts on the same advertised piece.
+    {8, trace::Kind::kBtLiarDetect, "enforce-liar"},
+    // Each audit already spans kStallAuditTicks ticks.
+    {1, trace::Kind::kBtStallAudit, "enforce-stall"},
+    // Unchokes beyond kChurnFlipThreshold per window.
+    {kChurnFlipThreshold, trace::Kind::kBtFloodDetect, "enforce-churn"},
+    // Structurally invalid gossiped endpoints.
+    {32, trace::Kind::kBtPexSpam, "enforce-pex"},
+}};
+
+// Trust-but-verify: on restore, re-verify this many sampled pieces against
+// the storage medium; any rot found drops the piece and escalates to a full
+// scan of the restored bitfield.
+constexpr int kResumeVerifySamples = 4;
+
+// How long a default client takes to notice a hand-off killed its task. A
+// downloading leech notices quickly (stalled reads, socket errors on its
+// active transfers); a seed sees only silence and waits for write timeouts
+// or its next tracker announce.
+constexpr sim::SimTime kLeechReinitDelay = sim::seconds(5.0);
+constexpr sim::SimTime kSeedReinitDelay = sim::seconds(120.0);
 }  // namespace
 
 Client::Client(net::Node& node, tcp::Stack& stack, Tracker& tracker, const Metainfo& meta,
@@ -40,24 +125,24 @@ Client::Client(net::Node& node, tcp::Stack& stack, Tracker& tracker, const Metai
       meta_{meta},
       store_{meta_},
       config_{config},
-      selector_{make_selector(config.selector)},
+      selector_{std::make_unique<RarestFirstSelector>()},
       sim_{node.sim()},
       rng_{node.sim().rng().fork()},
       availability_(static_cast<std::size_t>(meta_.piece_count()), 0),
       active_pieces_{meta_.piece_count()},
-      credit_{config.credit_half_life},
+      credit_{kCreditHalfLife},
       upload_bucket_{config.upload_limit, /*burst=*/64 * 1024},
       choke_task_{sim_, config.choke_interval, [this] { run_choke_round(); }},
       optimistic_task_{sim_, config.optimistic_interval, [this] { rotate_optimistic(); }},
       announce_task_{sim_, config.announce_interval,
-                     [this] { initiate_task(AnnounceEvent::kInterval); }},
+                     [this] { do_announce(AnnounceEvent::kInterval); }},
       timeout_task_{sim_, sim::seconds(10.0), [this] { periodic_maintenance(); }},
-      upload_pump_task_{sim_, config.upload_pump_interval, [this] { pump_uploads(); }},
+      upload_pump_task_{sim_, kUploadPumpInterval, [this] { pump_uploads(); }},
       pex_task_{sim_, config.pex_interval, [this] { send_pex_round(); }},
       probe_task_{sim_, config.tracker_probe_interval, [this] { probe_primary(); }},
       checkpoint_task_{sim_, std::max<sim::SimTime>(1, config.resume_checkpoint_interval),
                        [this] { write_checkpoint(); }},
-      bootstrap_{static_cast<std::size_t>(std::max(0, config.bootstrap_cache_size))},
+      bootstrap_{kBootstrapCacheSize},
       down_rate_{config.rate_window},
       up_rate_{config.rate_window} {
   peer_id_ = rng_.next_u64() | 1;  // nonzero
@@ -93,24 +178,24 @@ util::Rate Client::upload_limit() const { return config_.upload_limit; }
 // --- Lifecycle -----------------------------------------------------------------
 
 void Client::preload(double fraction) {
-  WP2P_ASSERT(!running_);
+  WP2P_ASSERT(!running());
   for (int p = 0; p < meta_.piece_count(); ++p) {
     if (rng_.bernoulli(fraction)) store_.mark_piece(p);
   }
 }
 
 void Client::preload_pieces(const std::vector<int>& pieces) {
-  WP2P_ASSERT(!running_);
+  WP2P_ASSERT(!running());
   for (int p : pieces) store_.mark_piece(p);
 }
 
 void Client::add_tracker(Tracker& tracker, int tier) {
-  WP2P_ASSERT(!running_);
+  WP2P_ASSERT(!running());
   trackers_.add(tracker, tier);
 }
 
 void Client::start() {
-  WP2P_ASSERT(!running_);
+  WP2P_ASSERT(!running());
   // A restart fault landing on a suspended app is a wake-up, not a cold boot:
   // the process never died, so the suspend path's counterpart must run (and
   // emit its lifecycle events) or the suspend bracket would dangle.
@@ -118,7 +203,6 @@ void Client::start() {
     resume();
     return;
   }
-  running_ = true;
   lifecycle_ = Lifecycle::kRunning;
   last_disconnect_ = sim_.now();
   // A fresh incarnation restores from the resume journal before anything else
@@ -143,7 +227,7 @@ void Client::start() {
     });
   }
   start_tasks();
-  initiate_task(AnnounceEvent::kStarted);
+  do_announce(AnnounceEvent::kStarted);
 }
 
 void Client::start_tasks() {
@@ -197,8 +281,7 @@ void Client::halt_tasks() {
 }
 
 void Client::stop() {
-  if (!running_) return;
-  running_ = false;
+  if (!running()) return;
   lifecycle_ = Lifecycle::kStopped;
   halt_tasks();
   if (node_.connected()) {
@@ -212,7 +295,7 @@ void Client::stop() {
   // Tear peers down in a fresh event: stop() may be called from inside a
   // peer-connection callback.
   sim_.after(0, [this, alive = alive_] {
-    if (!*alive || running_) return;
+    if (!*alive || running()) return;
     auto doomed = peers_;  // abort mutates peers_ via on_closed
     for (auto& peer : doomed) peer->tcp().abort();
     peers_.clear();
@@ -222,13 +305,12 @@ void Client::stop() {
 // --- Suspend / resume ---------------------------------------------------------------
 
 void Client::suspend() {
-  if (!running_) return;
+  if (!running()) return;
   ++stats_.suspends;
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtSuspend, node_)
                        .why("begin")
                        .with("peer_id", static_cast<double>(peer_id_ & 0xffffffffu))
                        .with("pieces", static_cast<double>(store_.bitfield().count())));
-  running_ = false;
   lifecycle_ = Lifecycle::kSuspending;
   halt_tasks();
   // Unlike stop(): no kStopped announce and no peer teardown. A suspended app
@@ -236,20 +318,18 @@ void Client::suspend() {
   // connections until their own snub/idle/reconnect machinery gives up, which
   // is exactly the composition the remote-side timers are built for.
   if (resume_store_ != nullptr) {
-    const std::uint64_t seq =
-        resume_store_->save(make_snapshot(), [this, alive = alive_](std::uint64_t s) {
-          if (!*alive) return;
-          ++stats_.snapshots_written;
-          // A resume (or kill) may have raced the device ack; only a client
-          // still draining its suspend transition completes it.
-          if (lifecycle_ != Lifecycle::kSuspending) return;
-          lifecycle_ = Lifecycle::kSuspended;
-          WP2P_TRACE(sim_, bt_event(trace::Kind::kBtSuspend, node_)
-                               .why("suspended")
-                               .with("peer_id", static_cast<double>(peer_id_ & 0xffffffffu))
-                               .with("seq", static_cast<double>(s)));
-        });
-    (void)seq;
+    resume_store_->save(make_snapshot(), [this, alive = alive_]([[maybe_unused]] std::uint64_t s) {
+      if (!*alive) return;
+      ++stats_.snapshots_written;
+      // A resume (or kill) may have raced the device ack; only a client
+      // still draining its suspend transition completes it.
+      if (lifecycle_ != Lifecycle::kSuspending) return;
+      lifecycle_ = Lifecycle::kSuspended;
+      WP2P_TRACE(sim_, bt_event(trace::Kind::kBtSuspend, node_)
+                           .why("suspended")
+                           .with("peer_id", static_cast<double>(peer_id_ & 0xffffffffu))
+                           .with("seq", static_cast<double>(s)));
+    });
   } else {
     lifecycle_ = Lifecycle::kSuspended;
     WP2P_TRACE(sim_, bt_event(trace::Kind::kBtSuspend, node_)
@@ -260,7 +340,7 @@ void Client::suspend() {
 }
 
 void Client::resume() {
-  if (running_) return;
+  if (running()) return;
   if (lifecycle_ != Lifecycle::kSuspended && lifecycle_ != Lifecycle::kSuspending) {
     return;  // resume only pairs with suspend; a stopped client needs start()
   }
@@ -268,7 +348,6 @@ void Client::resume() {
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtResume, node_)
                        .why("begin")
                        .with("peer_id", static_cast<double>(peer_id_ & 0xffffffffu)));
-  running_ = true;
   lifecycle_ = Lifecycle::kResuming;
   last_disconnect_ = sim_.now();
   stack_.listen(config_.listen_port, [this, alive = alive_](auto conn) {
@@ -299,7 +378,7 @@ void Client::resume() {
       on_peer_message(**it, msg);
     }
   }
-  initiate_task(AnnounceEvent::kStarted);
+  do_announce(AnnounceEvent::kStarted);
 }
 
 ResumeSnapshot Client::make_snapshot() const {
@@ -322,7 +401,7 @@ ResumeSnapshot Client::make_snapshot() const {
 }
 
 void Client::write_checkpoint() {
-  if (resume_store_ == nullptr || !running_) return;
+  if (resume_store_ == nullptr || !running()) return;
   resume_store_->save(make_snapshot(), [this, alive = alive_](std::uint64_t) {
     if (*alive) ++stats_.snapshots_written;
   });
@@ -358,9 +437,8 @@ void Client::restore_from_snapshot() {
   // so a decayed store degrades to a partial restore, never a false HAVE.
   sim::StableStorage& medium = resume_store_->storage();
   bool rot_found = false;
-  if (config_.resume_verify_samples > 0 && !snap.have.empty()) {
-    const int samples =
-        std::min<int>(config_.resume_verify_samples, static_cast<int>(snap.have.size()));
+  if (!snap.have.empty()) {
+    const int samples = std::min<int>(kResumeVerifySamples, static_cast<int>(snap.have.size()));
     for (int i = 0; i < samples; ++i) {
       const int piece =
           snap.have[static_cast<std::size_t>(rng_.below(snap.have.size()))];
@@ -399,10 +477,8 @@ void Client::restore_from_snapshot() {
                        .with("discarded", static_cast<double>(loaded->discarded)));
 }
 
-void Client::initiate_task(AnnounceEvent event) { do_announce(event); }
-
 void Client::do_announce(AnnounceEvent event) {
-  if (!running_ || !node_.connected()) return;
+  if (!running() || !node_.connected()) return;
   AnnounceRequest req{meta_.info_hash,
                       {node_.address(), config_.listen_port},
                       peer_id_,
@@ -412,7 +488,7 @@ void Client::do_announce(AnnounceEvent event) {
   // against failovers that happen while the RPC is in flight.
   const std::size_t slot = trackers_.cursor();
   trackers_.current().announce(req, [this, alive = alive_, slot](AnnounceResult result) {
-    if (*alive && running_) on_announce_result(std::move(result), slot);
+    if (*alive && running()) on_announce_result(std::move(result), slot);
   });
 }
 
@@ -445,8 +521,8 @@ void Client::on_announce_result(AnnounceResult result, std::size_t slot) {
   ++announce_fail_streak_;
   if (config_.tracker_failover && trackers_.size() > 1 && slot == trackers_.cursor()) {
     const std::size_t from = trackers_.cursor();
-    const int from_tier = trackers_.tier_of(from);
-    const std::size_t to = trackers_.advance();
+    [[maybe_unused]] const int from_tier = trackers_.tier_of(from);
+    [[maybe_unused]] const std::size_t to = trackers_.advance();
     ++stats_.tracker_failovers;
     WP2P_TRACE(sim_, bt_event(trace::Kind::kBtTrackerFailover, node_)
                          .why("failover")
@@ -464,12 +540,12 @@ void Client::schedule_announce_retry() {
   if (announce_retry_event_ != sim::kInvalidEventId) return;  // one pending retry
   announce_retry_base_ =
       announce_retry_attempt_ == 0
-          ? std::min(config_.announce_retry_initial, config_.announce_retry_cap)
+          ? std::min(kAnnounceRetryInitial, config_.announce_retry_cap)
           : std::min(announce_retry_base_ * 2, config_.announce_retry_cap);
   ++announce_retry_attempt_;
   // Deterministic jitter from the client's own RNG stream: spreads retries of
   // peers that failed in the same outage without breaking reproducibility.
-  const double factor = 1.0 + config_.announce_retry_jitter * (rng_.uniform() * 2.0 - 1.0);
+  const double factor = 1.0 + kAnnounceRetryJitter * (rng_.uniform() * 2.0 - 1.0);
   const auto delay = std::max<sim::SimTime>(
       1, static_cast<sim::SimTime>(static_cast<double>(announce_retry_base_) * factor));
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtAnnounceRetry, node_)
@@ -477,11 +553,11 @@ void Client::schedule_announce_retry() {
                        .with("base_s", sim::to_seconds(announce_retry_base_))
                        .with("delay_s", sim::to_seconds(delay))
                        .with("cap_s", sim::to_seconds(config_.announce_retry_cap))
-                       .with("jitter", config_.announce_retry_jitter));
+                       .with("jitter", kAnnounceRetryJitter));
   announce_retry_event_ = sim_.after(delay, [this, alive = alive_] {
     if (!*alive) return;
     announce_retry_event_ = sim::kInvalidEventId;
-    if (!running_) return;
+    if (!running()) return;
     ++stats_.announce_retries;
     // kStarted: a tracker that lost our announce may not know us at all.
     do_announce(AnnounceEvent::kStarted);
@@ -526,7 +602,7 @@ void Client::stop_probe() {
 }
 
 void Client::probe_primary() {
-  if (!running_ || !node_.connected()) return;
+  if (!running() || !node_.connected()) return;
   if (trackers_.cursor() == 0) {
     stop_probe();
     return;
@@ -537,9 +613,9 @@ void Client::probe_primary() {
                       store_.complete(),
                       AnnounceEvent::kStarted};
   trackers_.primary().announce(req, [this, alive = alive_](AnnounceResult result) {
-    if (!*alive || !running_ || !result.ok) return;  // still dark: keep probing
+    if (!*alive || !running() || !result.ok) return;  // still dark: keep probing
     if (trackers_.cursor() == 0) return;             // already home
-    const std::size_t from = trackers_.cursor();
+    [[maybe_unused]] const std::size_t from = trackers_.cursor();
     trackers_.failback();
     ++stats_.tracker_failbacks;
     announce_fail_streak_ = 0;
@@ -559,7 +635,7 @@ void Client::probe_primary() {
 }
 
 void Client::send_pex_round() {
-  if (!config_.pex || !running_ || !node_.connected()) return;
+  if (!config_.pex || !running() || !node_.connected()) return;
   const net::Endpoint self{node_.address(), config_.listen_port};
   // The live advert set: listen endpoints of established, unbanned peers.
   std::map<net::Endpoint, PeerId> current;
@@ -644,12 +720,9 @@ void Client::handle_pex(PeerConnection& peer, const WireMessage& msg) {
       ++stats_.pex_banned_skipped;  // never learn (or dial) a banned identity
       continue;
     }
-    // Endpoint sanity budget: one sender gets to introduce at most
-    // pex_endpoint_budget unique endpoints; anything beyond is filtered
-    // before it can poison the known-endpoint table or trigger dials.
-    if (config_.pex_endpoint_budget > 0 &&
-        peer.pex_learned.count(entry.endpoint) == 0) {
-      if (static_cast<int>(peer.pex_learned.size()) >= config_.pex_endpoint_budget) {
+    // Endpoint sanity budget (kPexEndpointBudget unique endpoints per sender).
+    if (peer.pex_learned.count(entry.endpoint) == 0) {
+      if (static_cast<int>(peer.pex_learned.size()) >= kPexEndpointBudget) {
         ++stats_.pex_budget_dropped;
         if (!config_.unsafe_no_enforcement) continue;
       } else {
@@ -669,11 +742,11 @@ void Client::handle_pex(PeerConnection& peer, const WireMessage& msg) {
 }
 
 void Client::maybe_bootstrap() {
-  if (!config_.bootstrap_cache || !running_ || !node_.connected()) return;
+  if (!config_.bootstrap_cache || !running() || !node_.connected()) return;
   // Dark means one full failed cycle through every tracker tier.
   if (announce_fail_streak_ < static_cast<int>(trackers_.size())) return;
   if (last_bootstrap_at_ >= 0 &&
-      sim_.now() - last_bootstrap_at_ < config_.bootstrap_min_interval) {
+      sim_.now() - last_bootstrap_at_ < kBootstrapMinInterval) {
     return;
   }
   last_bootstrap_at_ = sim_.now();
@@ -726,7 +799,7 @@ void Client::connect_to(net::Endpoint remote) {
 }
 
 void Client::accept_connection(std::shared_ptr<tcp::Connection> conn) {
-  if (!running_ ||
+  if (!running() ||
       static_cast<int>(peers_.size()) >= config_.max_peers + config_.max_peers / 4) {
     conn->abort();
     return;
@@ -1039,8 +1112,7 @@ void Client::handle_request(PeerConnection& peer, const WireMessage& msg) {
   // Backlog cap: no honest peer pipelines anywhere near this many requests,
   // so the overflow is dropped (flood evidence) instead of queued — an
   // unbounded upload_queue is exactly the resource a flooder is after.
-  if (config_.max_request_backlog > 0 &&
-      static_cast<int>(peer.upload_queue.size()) >= config_.max_request_backlog) {
+  if (static_cast<int>(peer.upload_queue.size()) >= kMaxRequestBacklog) {
     ++stats_.flood_dropped;
     record_offense(peer, Offense::kFlood);
     if (!config_.unsafe_no_enforcement) return;  // cap enforced: drop the overflow
@@ -1251,7 +1323,7 @@ void Client::periodic_maintenance() {
         if (state == BlockState::kRequested) state = BlockState::kUnrequested;
       }
       ++stats_.blocks_requeued;
-      if (config_.snub_timeout > 0) peer->snubbed = true;
+      peer->snubbed = true;
       if (std::find(timed_out.begin(), timed_out.end(), it->piece) == timed_out.end()) {
         timed_out.push_back(it->piece);
       }
@@ -1261,17 +1333,16 @@ void Client::periodic_maintenance() {
     // Liar evidence, scored per PIECE per pass (a deep pipeline expiring in
     // one pass is one data point per piece, not thirty): a timeout against a
     // peer that has never delivered a byte (it advertised pieces it will not
-    // serve), or a piece that has now timed out liar_repeat_passes times with
+    // serve), or a piece that has now timed out kLiarRepeatPasses times with
     // no block of it delivered in between (a withholder serving everything
     // else — handle_piece clears the streak on delivery, so an honest peer
     // that is merely overloaded never accumulates one). Hand-off stalls look
     // identical from here — the mobility grace keeps them out of the count.
-    if (config_.liar_strike_threshold > 0 && !timed_out.empty() &&
-        !in_mobility_grace(peer->remote_id)) {
+    if (!timed_out.empty() && !in_mobility_grace(peer->remote_id)) {
       const bool zero_payload = peer->downloaded_payload == 0;
       for (int piece : timed_out) {
         const int repeats = ++peer->piece_timeouts[piece];
-        if (zero_payload || repeats >= config_.liar_repeat_passes) {
+        if (zero_payload || repeats >= kLiarRepeatPasses) {
           ++stats_.liar_detections;
           record_offense(*peer, Offense::kLiar);
         }
@@ -1295,19 +1366,17 @@ void Client::periodic_maintenance() {
       idle_victims.push_back(peer.get());
     }
     // Stall auditor: a peer continuously snubbed (it unchoked us, took our
-    // requests, delivered nothing) for stall_audit_ticks consecutive ticks is
+    // requests, delivered nothing) for kStallAuditTicks consecutive ticks is
     // a slowloris suspect. Delivery clears snubbed, so an LIHD-throttled
     // uploader resets the streak; a graced (moved) peer is never scored.
-    if (config_.stall_audit_ticks > 0) {
-      if (peer->snubbed && !in_mobility_grace(peer->remote_id)) {
-        if (++peer->stall_ticks >= config_.stall_audit_ticks) {
-          peer->stall_ticks = 0;
-          ++stats_.stall_audits;
-          record_offense(*peer, Offense::kStall);
-        }
-      } else {
+    if (peer->snubbed && !in_mobility_grace(peer->remote_id)) {
+      if (++peer->stall_ticks >= kStallAuditTicks) {
         peer->stall_ticks = 0;
+        ++stats_.stall_audits;
+        record_offense(*peer, Offense::kStall);
       }
+    } else {
+      peer->stall_ticks = 0;
     }
   }
   for (PeerConnection* victim : idle_victims) victim->tcp().abort();
@@ -1347,11 +1416,10 @@ void Client::on_download_finished() {
     return_outstanding(*peer);
     evaluate_interest(*peer);  // sends NotInterested
   }
-  initiate_task(AnnounceEvent::kCompleted);
+  do_announce(AnnounceEvent::kCompleted);
   WP2P_LOG(util::LogLevel::kInfo, sim::to_seconds(sim_.now()), kLog, "%s download complete",
            node_.name().c_str());
   if (on_complete) on_complete();
-  if (!config_.seed_after_complete) stop();
 }
 
 // --- Integrity / banning ------------------------------------------------------------
@@ -1390,7 +1458,8 @@ void Client::handle_corrupt_piece(int piece) {
                        .with("piece", static_cast<double>(piece)));
 }
 
-void Client::strike_peer(PeerId id, int piece, const char* cause) {
+void Client::strike_peer(PeerId id, [[maybe_unused]] int piece,
+                         [[maybe_unused]] const char* cause) {
   // An already-banned peer is beyond striking: pieces it contributed to may
   // keep completing after the ban, and those strikes would overshoot the
   // threshold under perfectly correct behaviour.
@@ -1401,9 +1470,9 @@ void Client::strike_peer(PeerId id, int piece, const char* cause) {
                        .why(cause != nullptr ? cause : "")
                        .with("peer_id", static_cast<double>(id & 0xffffffffu))
                        .with("strikes", static_cast<double>(strikes))
-                       .with("threshold", static_cast<double>(config_.ban_threshold))
+                       .with("threshold", static_cast<double>(kBanThreshold))
                        .with("piece", static_cast<double>(piece)));
-  if (config_.unsafe_no_peer_ban || strikes < config_.ban_threshold) return;
+  if (config_.unsafe_no_peer_ban || strikes < kBanThreshold) return;
   banned_.insert(id);
   ++stats_.peers_banned;
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtPeerBan, node_)
@@ -1427,17 +1496,16 @@ void Client::strike_peer(PeerId id, int piece, const char* cause) {
 
 // --- Reconnect policy ---------------------------------------------------------------
 
-void Client::consider_reconnect(net::Endpoint remote, tcp::CloseReason reason) {
-  if (!config_.reconnect || !running_) return;
+void Client::consider_reconnect(net::Endpoint remote, [[maybe_unused]] tcp::CloseReason reason) {
+  if (!config_.reconnect || !running()) return;
   for (const auto& [id, endpoint] : known_listen_endpoints_) {
     if (endpoint == remote && is_banned(id)) return;
   }
   ReconnectState& state = reconnects_[remote];
   if (state.event != sim::kInvalidEventId) return;  // a dial is already pending
-  if (state.attempts >= config_.reconnect_max_attempts) return;
-  state.backoff = state.attempts == 0
-                      ? std::min(config_.reconnect_initial, config_.reconnect_cap)
-                      : std::min(state.backoff * 2, config_.reconnect_cap);
+  if (state.attempts >= kReconnectMaxAttempts) return;
+  state.backoff = state.attempts == 0 ? std::min(config_.reconnect_initial, kReconnectCap)
+                                      : std::min(state.backoff * 2, kReconnectCap);
   ++state.attempts;
   ++stats_.reconnect_attempts;
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtReconnect, node_)
@@ -1445,13 +1513,13 @@ void Client::consider_reconnect(net::Endpoint remote, tcp::CloseReason reason) {
                        .why(tcp::to_string(reason))
                        .with("attempt", static_cast<double>(state.attempts))
                        .with("delay_s", sim::to_seconds(state.backoff))
-                       .with("cap_s", sim::to_seconds(config_.reconnect_cap)));
+                       .with("cap_s", sim::to_seconds(kReconnectCap)));
   state.event = sim_.after(state.backoff, [this, alive = alive_, remote] {
     if (!*alive) return;
     if (auto it = reconnects_.find(remote); it != reconnects_.end()) {
       it->second.event = sim::kInvalidEventId;
     }
-    if (!running_ || !node_.connected()) return;
+    if (!running() || !node_.connected()) return;
     if (connected_to(remote)) return;
     if (static_cast<int>(peers_.size()) >= config_.max_peers) return;
     connect_to(remote);
@@ -1582,7 +1650,7 @@ void Client::pump_uploads() {
     upload_cursor_ = (upload_cursor_ + 1) % peers_.size();
     bool served = false;
     if (!peer.upload_queue.empty() && !peer.am_choking &&
-        peer.tcp().send_queue_bytes() <= config_.max_tcp_backlog) {
+        peer.tcp().send_queue_bytes() <= kMaxTcpBacklog) {
       const PeerConnection::PendingUpload job = peer.upload_queue.front();
       if (!upload_bucket_.try_consume(now, job.length)) return;  // pump tick retries
       peer.upload_queue.pop_front();
@@ -1603,7 +1671,7 @@ void Client::pump_uploads() {
 
 void Client::handle_address_change() {
   last_disconnect_ = sim_.now();
-  if (!running_) return;
+  if (!running()) return;
   WP2P_LOG(util::LogLevel::kInfo, sim::to_seconds(sim_.now()), kLog,
            "%s hand-off: address now %s", node_.name().c_str(),
            net::to_string(node_.address()).c_str());
@@ -1627,7 +1695,7 @@ void Client::handle_address_change() {
 
   if (config_.role_reversal) {
     if (!config_.retain_peer_id) peer_id_ = rng_.next_u64() | 1;
-    initiate_task(AnnounceEvent::kStarted);  // tracker learns the new address now
+    do_announce(AnnounceEvent::kStarted);  // tracker learns the new address now
     for (net::Endpoint ep : stored) {
       if (static_cast<int>(peers_.size()) < config_.max_peers && !connected_to(ep)) {
         connect_to(ep);
@@ -1637,8 +1705,7 @@ void Client::handle_address_change() {
     return;
   }
   // Default client: notices after a delay, then re-initiates as a new peer.
-  const sim::SimTime delay =
-      store_.complete() ? config_.seed_reinit_delay : config_.leech_reinit_delay;
+  const sim::SimTime delay = store_.complete() ? kSeedReinitDelay : kLeechReinitDelay;
   if (reinit_event_ != sim::kInvalidEventId) sim_.cancel(reinit_event_);
   reinit_event_ = sim_.after(delay, [this, alive = alive_] {
     if (!*alive) return;
@@ -1648,17 +1715,17 @@ void Client::handle_address_change() {
 }
 
 void Client::reinitiate() {
-  if (!running_) return;
+  if (!running()) return;
   if (!config_.retain_peer_id) peer_id_ = rng_.next_u64() | 1;
   WP2P_TRACE(sim_, bt_event(trace::Kind::kBtHandoff, node_)
                        .why("reinit")
                        .with("retained_id", config_.retain_peer_id ? 1.0 : 0.0));
-  initiate_task(AnnounceEvent::kStarted);
+  do_announce(AnnounceEvent::kStarted);
   if (on_reinitiated) on_reinitiated();
 }
 
 void Client::recover_from_disconnection() {
-  if (!running_ || !node_.connected()) return;
+  if (!running() || !node_.connected()) return;
   ++stats_.task_reinitiations;
   stack_.abort_all();
   if (!config_.retain_peer_id) peer_id_ = rng_.next_u64() | 1;
@@ -1667,7 +1734,7 @@ void Client::recover_from_disconnection() {
                        .with("retained_id", config_.retain_peer_id ? 1.0 : 0.0)
                        .with("known_endpoints",
                              static_cast<double>(known_listen_endpoints_.size())));
-  initiate_task(AnnounceEvent::kStarted);
+  do_announce(AnnounceEvent::kStarted);
   if (config_.role_reversal) {
     for (const auto& [id, endpoint] : known_listen_endpoints_) {
       if (static_cast<int>(peers_.size()) >= config_.max_peers) break;
@@ -1684,69 +1751,21 @@ void Client::recover_from_disconnection() {
 // --- Protocol enforcement -------------------------------------------------------------
 
 void Client::record_offense(PeerConnection& peer, Offense offense) {
-  int threshold = 0;
-  int* count = nullptr;
-  int* charged = nullptr;
-  trace::Kind kind = trace::Kind::kBtFloodDetect;
-  const char* label = "";
-  switch (offense) {
-    case Offense::kFlood:
-      threshold = config_.flood_strike_threshold;
-      count = &peer.flood_count;
-      charged = &peer.flood_strikes;
-      kind = trace::Kind::kBtFloodDetect;
-      label = "enforce-flood";
-      break;
-    case Offense::kMalformed:
-      threshold = config_.malformed_budget;
-      count = &peer.malformed_count;
-      charged = &peer.malformed_strikes;
-      kind = trace::Kind::kBtMalformed;
-      label = "enforce-malformed";
-      break;
-    case Offense::kLiar:
-      threshold = config_.liar_strike_threshold;
-      count = &peer.liar_count;
-      charged = &peer.liar_strikes;
-      kind = trace::Kind::kBtLiarDetect;
-      label = "enforce-liar";
-      break;
-    case Offense::kStall:
-      threshold = 1;  // each audit already spans stall_audit_ticks ticks
-      count = &peer.stall_count;
-      charged = &peer.stall_strikes;
-      kind = trace::Kind::kBtStallAudit;
-      label = "enforce-stall";
-      break;
-    case Offense::kChurn:
-      threshold = config_.churn_flip_threshold;
-      count = &peer.churn_flips;
-      charged = &peer.churn_strikes;
-      kind = trace::Kind::kBtFloodDetect;
-      label = "enforce-churn";
-      break;
-    case Offense::kPexSpam:
-      threshold = config_.pex_spam_threshold;
-      count = &peer.pex_spam_count;
-      charged = &peer.pex_spam_strikes;
-      kind = trace::Kind::kBtPexSpam;
-      label = "enforce-pex";
-      break;
-  }
-  ++*count;
-  if (threshold <= 0) return;  // category disabled: evidence only
-  if (*count / threshold <= *charged) return;  // next crossing not reached yet
-  ++*charged;
-  // The limit an enforced run can never exceed: ban_threshold crossings ban
+  const OffenseRule& rule = kOffenseRules[static_cast<std::size_t>(offense)];
+  auto& tally = peer.offenses[static_cast<std::size_t>(offense)];
+  ++tally.count;
+  if (tally.count / rule.threshold <= tally.strikes) return;  // next crossing not reached yet
+  ++tally.strikes;
+  // The limit an enforced run can never exceed: kBanThreshold crossings ban
   // the peer (ending the evidence stream), so counts stay within a couple of
   // threshold-steps of that — "a couple" because strikes land one event after
   // the crossing, so same-tick evidence bursts can overshoot by one step.
   // The invariant rules check count against the limit carried in the event.
-  const int limit = threshold * (config_.ban_threshold + 2);
-  WP2P_TRACE(sim_, bt_event(kind, node_)
-                       .why(label)
+  [[maybe_unused]] const int limit = rule.threshold * (kBanThreshold + 2);
+  WP2P_TRACE(sim_, bt_event(rule.kind, node_)
+                       .why(rule.label)
                        .with("peer_id", static_cast<double>(peer.remote_id & 0xffffffffu))
-                       .with("count", static_cast<double>(*count))
+                       .with("count", static_cast<double>(tally.count))
                        .with("limit", static_cast<double>(limit)));
   if (config_.unsafe_no_enforcement) return;  // detect + trace, never strike
   if (peer.remote_id == 0) return;  // pre-handshake offender: no identity to strike
@@ -1755,22 +1774,21 @@ void Client::record_offense(PeerConnection& peer, Offense offense) {
   // ban, which aborts the offender's connections and erases them from peers_
   // — fatal while a message handler still holds this PeerConnection or
   // periodic_maintenance is mid-iteration over peers_.
-  sim_.after(0, [this, alive = alive_, id = peer.remote_id, label] {
-    if (!*alive || !running_) return;
+  sim_.after(0, [this, alive = alive_, id = peer.remote_id, label = rule.label] {
+    if (!*alive || !running()) return;
     strike_peer(id, -1, label);
   });
 }
 
 void Client::note_unchoke_churn(PeerConnection& peer) {
-  if (config_.churn_flip_threshold <= 0) return;
   const sim::SimTime now = sim_.now();
-  if (peer.churn_window_start < 0 || now - peer.churn_window_start > config_.churn_window) {
+  if (peer.churn_window_start < 0 || now - peer.churn_window_start > kChurnWindow) {
     peer.churn_window_start = now;
     peer.churn_window_flips = 0;
   }
-  // The first churn_flip_threshold unchokes per window are free (honest
+  // The first kChurnFlipThreshold unchokes per window are free (honest
   // chokers flip a handful of times a minute); each one beyond is evidence.
-  if (++peer.churn_window_flips > config_.churn_flip_threshold) {
+  if (++peer.churn_window_flips > kChurnFlipThreshold) {
     ++stats_.churn_detections;
     record_offense(peer, Offense::kChurn);
   }
@@ -1782,9 +1800,9 @@ bool Client::in_mobility_grace(PeerId id) const {
   return it != grace_until_.end() && sim_.now() < it->second;
 }
 
-void Client::grant_mobility_grace(PeerId id, const char* cause) {
-  if (id == 0 || config_.mobility_grace <= 0) return;
-  const sim::SimTime until = sim_.now() + config_.mobility_grace;
+void Client::grant_mobility_grace(PeerId id, [[maybe_unused]] const char* cause) {
+  if (id == 0) return;
+  const sim::SimTime until = sim_.now() + kMobilityGrace;
   auto [it, fresh] = grace_until_.try_emplace(id, until);
   if (!fresh) {
     if (it->second >= until) return;  // the current window already covers this

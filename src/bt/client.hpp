@@ -112,16 +112,15 @@ class Client {
   void stop();
   void suspend();
   void resume();
-  bool running() const { return running_; }
+  bool running() const {
+    return lifecycle_ == Lifecycle::kRunning || lifecycle_ == Lifecycle::kResuming;
+  }
   Lifecycle lifecycle() const { return lifecycle_; }
 
   // Attach the persistence layer. Call before start(); the client then
   // checkpoints periodically (resume_checkpoint_interval), writes a final
   // snapshot on suspend, and restores on its first start(). Non-owning.
   void attach_resume(ResumeStore& store) { resume_store_ = &store; }
-  ResumeStore* resume_store() { return resume_store_; }
-  // Visible for tests: the snapshot the client would journal right now.
-  ResumeSnapshot make_snapshot() const;
 
   // Pre-populate the store with a random `fraction` of pieces (a peer that
   // joined the swarm earlier). Call before start().
@@ -144,7 +143,6 @@ class Client {
   bool complete() const { return store_.complete(); }
   std::size_t peer_count() const { return peers_.size(); }
   net::Node& node() { return node_; }
-  sim::SimTime last_disconnect() const { return last_disconnect_; }
 
   util::Rate download_rate();  // over the config rate window
   util::Rate upload_rate();
@@ -178,14 +176,6 @@ class Client {
   // remembered listen endpoint.
   void recover_from_disconnection();
 
-  // Visible for tests: current block-request state of a piece in progress.
-  bool piece_active(int piece) const { return active_.count(piece) > 0; }
-  // Total block requests currently outstanding across all peers.
-  std::size_t outstanding_requests() const {
-    std::size_t n = 0;
-    for (const auto& peer : peers_) n += peer->outstanding.size();
-    return n;
-  }
   // Visible for tests: discovery-resilience internals.
   std::size_t tracker_count() const { return trackers_.size(); }
   std::size_t tracker_cursor() const { return trackers_.cursor(); }
@@ -237,7 +227,6 @@ class Client {
   enum class BlockState : std::uint8_t { kUnrequested = 0, kRequested = 1, kReceived = 2 };
 
   // Lifecycle / tracker.
-  void initiate_task(AnnounceEvent event);
   void do_announce(AnnounceEvent event);
   void on_announce_result(AnnounceResult result, std::size_t slot);
   void schedule_announce_retry();
@@ -303,10 +292,9 @@ class Client {
   bool is_banned(PeerId id) const { return banned_.count(id) > 0; }
 
   // Protocol enforcement. Each offense category accumulates per-peer evidence
-  // on the PeerConnection; record_offense bumps the category counter and, at
+  // on the PeerConnection; record_offense bumps the category's tally and, at
   // every threshold crossing, traces a detection event and (unless
   // unsafe_no_enforcement) charges one strike via strike_peer.
-  enum class Offense { kFlood, kMalformed, kLiar, kStall, kChurn, kPexSpam };
   void record_offense(PeerConnection& peer, Offense offense);
   void note_unchoke_churn(PeerConnection& peer);
   bool in_mobility_grace(PeerId id) const;
@@ -324,6 +312,7 @@ class Client {
   // Session persistence.
   void start_tasks();  // periodic machinery shared by start() and resume()
   void halt_tasks();   // inverse, shared by stop() and suspend()
+  ResumeSnapshot make_snapshot() const;
   void write_checkpoint();
   void restore_from_snapshot();
 
@@ -338,7 +327,6 @@ class Client {
   sim::Rng rng_;
 
   PeerId peer_id_ = 0;
-  bool running_ = false;
   bool completed_notified_ = false;
   bool node_hooks_installed_ = false;
   Lifecycle lifecycle_ = Lifecycle::kStopped;
@@ -381,7 +369,7 @@ class Client {
   sim::EventId reinit_event_ = sim::kInvalidEventId;
 
   // Announce retry chain: one pending retry at a time, base delay doubling
-  // from announce_retry_initial up to announce_retry_cap; any successful
+  // from kAnnounceRetryInitial up to announce_retry_cap; any successful
   // announce resets it.
   sim::EventId announce_retry_event_ = sim::kInvalidEventId;
   sim::SimTime announce_retry_base_ = 0;

@@ -1,4 +1,9 @@
 // BitTorrent client configuration.
+//
+// Only the knobs some caller sets live here; the fixed numbers of the
+// protocol (ban threshold, enforcement budgets, retry and reconnect shapes,
+// re-initiation delays) are named constants beside their reader in
+// client.cpp.
 #pragma once
 
 #include <cstdint>
@@ -7,8 +12,6 @@
 #include "util/units.hpp"
 
 namespace wp2p::bt {
-
-enum class SelectorKind { kRarestFirst, kSequential, kRandom };
 
 struct ClientConfig {
   std::uint16_t listen_port = 6881;
@@ -19,32 +22,25 @@ struct ClientConfig {
   int pipeline_depth = 8;   // outstanding block requests per peer
   util::Rate upload_limit = util::Rate::unlimited();
   sim::SimTime announce_interval = sim::minutes(5.0);
-  bool seed_after_complete = true;
-  SelectorKind selector = SelectorKind::kRarestFirst;
 
   // A block requested this long ago with no data is re-queued to other peers
-  // ("the peer selection algorithm chooses an alternate peer", Section 3.5).
+  // ("the peer selection algorithm chooses an alternate peer", Section 3.5),
+  // and the peer that let it expire is snubbed: it earns no reciprocation
+  // until it delivers a block again.
   sim::SimTime request_timeout = sim::seconds(60.0);
   // End-game mode: when no unrequested blocks remain and at most this many
   // blocks are outstanding, duplicate the stragglers' requests to every peer
   // that has them (cancels go out as blocks arrive). 0 disables.
   int endgame_block_threshold = 16;
-  // A peer that unchoked us but has sent nothing for this long while we have
-  // requests outstanding to it is "snubbed": we stop reciprocating until it
-  // resumes. 0 disables.
-  sim::SimTime snub_timeout = sim::seconds(60.0);
   // Keep-alives flow on connections idle this long; a connection on which
   // nothing has been *received* for idle_timeout is presumed dead and closed
   // (dead peers otherwise leak connection slots forever after hand-offs).
   sim::SimTime keepalive_interval = sim::seconds(100.0);
   sim::SimTime idle_timeout = sim::minutes(4.0);
   sim::SimTime rate_window = sim::seconds(20.0);  // choker rate measurement
-  sim::SimTime credit_half_life = sim::minutes(10.0);
   // Converts remembered credit (bytes) into a rate-equivalent for unchoke
   // ranking: score = rate + credit / credit_to_rate_seconds.
   double credit_to_rate_seconds = 120.0;
-  std::int64_t max_tcp_backlog = 128 * 1024;  // per-peer TCP send buffering cap
-  sim::SimTime upload_pump_interval = sim::milliseconds(50.0);
 
   // --- Recovery behaviour ---------------------------------------------------
   // Announce retry: a failed announce (unreachable tracker) is retried on a
@@ -52,20 +48,11 @@ struct ClientConfig {
   // periodic announce — recovery after an outage or hand-off takes seconds,
   // not a full announce_interval. Disable to model the naive client.
   bool announce_retry = true;
-  sim::SimTime announce_retry_initial = sim::seconds(2.0);
   sim::SimTime announce_retry_cap = sim::seconds(30.0);
-  // Jitter factor: each retry delay is base * (1 + jitter * u), u in [-1, 1)
-  // drawn from the client's own RNG stream (deterministic per seed).
-  double announce_retry_jitter = 0.25;
 
-  // Corruption defense: a completed piece that fails verification earns each
-  // contributing peer of the damaged blocks a strike; a peer reaching
-  // ban_threshold strikes is banned (disconnected, never re-dialed, refused
-  // on handshake, skipped in announce responses, no unchoke slots).
-  int ban_threshold = 3;
-  // Self-test switch (see TESTING.md): accept corrupt contributors forever.
-  // The peer-ban invariant rule must flag runs with this set; never enable
-  // outside the harness.
+  // Self-test switch (see TESTING.md): accept corrupt contributors forever
+  // instead of banning them at the strike threshold. The peer-ban invariant
+  // rule must flag runs with this set; never enable outside the harness.
   bool unsafe_no_peer_ban = false;
 
   // Reconnect policy: when an established peer connection dies by TCP
@@ -75,8 +62,6 @@ struct ClientConfig {
   // off. Disable to model the naive client.
   bool reconnect = true;
   sim::SimTime reconnect_initial = sim::seconds(2.0);
-  sim::SimTime reconnect_cap = sim::seconds(60.0);
-  int reconnect_max_attempts = 4;
 
   // --- Discovery resilience -------------------------------------------------
   // Multi-tracker failover (BEP 12): backup trackers registered via
@@ -99,54 +84,13 @@ struct ClientConfig {
   // full failed cycle through every tracker tier — i.e. when discovery is
   // completely dark.
   bool bootstrap_cache = true;
-  int bootstrap_cache_size = 16;
-  sim::SimTime bootstrap_min_interval = sim::seconds(30.0);
 
   // --- Protocol enforcement -------------------------------------------------
   // Defenses against actively misbehaving peers (floods, liars, slowloris,
-  // garbage frames, PEX spam). Detections are always counted and traced;
-  // every threshold crossing feeds one enforcement strike into the same
-  // strike/ban path as corruption (kBtPeerStrike with aux "enforce"), so a
-  // persistent attacker is banned after ban_threshold crossings.
-  //
-  // Per-peer request backlog cap: requests beyond this many outstanding
-  // uploads from one peer are dropped, and every flood_strike_threshold
-  // dropped-or-choked requests cost a strike.
-  int max_request_backlog = 128;
-  int flood_strike_threshold = 64;
-  // Struct-malformed frames (see bt::malformed_reason) tolerated per peer
-  // before each strike. Real stacks kill on the first, but counting in
-  // budget-sized steps keeps detection observable under --no-enforcement.
-  int malformed_budget = 4;
-  // Bitfield/have liar + withholder detection: request timeouts against a
-  // peer that has delivered zero payload, or repeat timeouts on the same
-  // advertised piece, are lie evidence; each liar_strike_threshold
-  // accumulated costs a strike. Evidence is scored once per piece per
-  // maintenance pass, and a piece only counts as a repeat offender after
-  // liar_repeat_passes passes with no block of it delivered in between.
-  int liar_strike_threshold = 8;
-  int liar_repeat_passes = 3;
-  // Stall auditor: a peer continuously snubbed (unchoked us, sent nothing)
-  // for this many consecutive maintenance ticks earns a strike. The mobility
-  // grace below keeps hand-off stalls out of this count.
-  int stall_audit_ticks = 6;
-  // Unchoke churner: more than churn_flip_threshold unchokes from one peer
-  // inside churn_window costs a strike.
-  int churn_flip_threshold = 16;
-  sim::SimTime churn_window = sim::seconds(60.0);
-  // PEX endpoint sanity: at most pex_endpoint_budget unique gossiped
-  // endpoints are accepted per peer; invalid or over-budget entries count as
-  // spam, and every pex_spam_threshold spam entries cost a strike.
-  int pex_endpoint_budget = 64;
-  int pex_spam_threshold = 32;
-  // Mobility grace: after evidence a peer moved (its connection died by TCP
-  // timeout, or its identity re-handshook from a new address), its stall and
-  // liar counters are held for this long — hand-off churn must never
-  // accumulate misbehavior score.
-  sim::SimTime mobility_grace = sim::seconds(120.0);
-  // Self-test switch (see TESTING.md): count and trace detections but never
-  // drop, cap, or strike. The enforcement invariant rules must flag runs
-  // with this set; never enable outside the harness.
+  // garbage frames, PEX spam) are always on; their budgets are constants in
+  // client.cpp. Self-test switch (see TESTING.md): count and trace detections
+  // but never drop, cap, or strike. The enforcement invariant rules must flag
+  // runs with this set; never enable outside the harness.
   bool unsafe_no_enforcement = false;
 
   // --- Session persistence --------------------------------------------------
@@ -156,10 +100,6 @@ struct ClientConfig {
   // start() restores from the newest checksum-valid snapshot instead of
   // cold-starting. 0 disables periodic checkpoints (suspend still writes one).
   sim::SimTime resume_checkpoint_interval = sim::seconds(30.0);
-  // Trust-but-verify: on restore, re-verify this many sampled pieces against
-  // the storage medium; any rot found drops the piece and escalates to a full
-  // scan of the restored bitfield. 0 trusts the snapshot blindly.
-  int resume_verify_samples = 4;
   // Bootstrap-cache entries older than this are dropped on restore (and on
   // every bootstrap dial), so a resume after a long suspend doesn't re-dial
   // a stale cell's addresses. <= 0 disables aging.
@@ -173,12 +113,6 @@ struct ClientConfig {
   // Role-Reversal component reconnects to remembered peers instantly
   // (Section 4.3).
   bool role_reversal = false;
-  // How long a default client takes to notice a hand-off killed its task. A
-  // downloading leech notices quickly (stalled reads, socket errors on its
-  // active transfers); a seed sees only silence and waits for write timeouts
-  // or its next tracker announce.
-  sim::SimTime leech_reinit_delay = sim::seconds(5.0);
-  sim::SimTime seed_reinit_delay = sim::seconds(120.0);
 };
 
 }  // namespace wp2p::bt

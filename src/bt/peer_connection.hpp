@@ -7,6 +7,7 @@
 // Client; this class holds state and message plumbing.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -20,6 +21,10 @@
 #include "tcp/connection.hpp"
 
 namespace wp2p::bt {
+
+// Categories of protocol-enforcement evidence, in Client's rule-table order.
+enum class Offense : std::uint8_t { kFlood, kMalformed, kLiar, kStall, kChurn, kPexSpam };
+inline constexpr std::size_t kOffenseKinds = static_cast<std::size_t>(Offense::kPexSpam) + 1;
 
 class PeerConnection {
  public:
@@ -106,7 +111,6 @@ class PeerConnection {
   sim::SimTime last_unchoked_at = -1;   // for the seed's rotation policy
   sim::SimTime last_received_at = 0;    // any message (idle-timeout tracking)
   sim::SimTime last_sent_at = 0;        // any message (keep-alive scheduling)
-  sim::SimTime first_request_at = -1;   // oldest unanswered request (snub)
   bool snubbed = false;
   metrics::ThroughputMeter down_meter;
   metrics::ThroughputMeter up_meter;
@@ -116,30 +120,23 @@ class PeerConnection {
   // against this to build added/dropped lists.
   std::map<net::Endpoint, PeerId> pex_sent;
 
-  // --- Enforcement evidence (Client::enforce_* reads and scores these) --------
-  int flood_count = 0;           // excess choked requests + over-backlog drops
+  // --- Enforcement evidence (Client::record_offense scores these) -----------
+  // Per category: evidence counted (cumulative) and strikes already charged,
+  // so each threshold crossing costs exactly one strike (count / threshold
+  // beats the charged tally by one → strike).
+  struct OffenseTally {
+    int count = 0;
+    int strikes = 0;
+  };
+  std::array<OffenseTally, kOffenseKinds> offenses{};
   int choked_requests_since_flip = 0;  // in-flight allowance after each choke
-  int malformed_count = 0;       // struct-malformed frames from this peer
-  int liar_count = 0;            // zero-payload or repeat-piece timeout evidence
   int stall_ticks = 0;           // consecutive snubbed maintenance ticks
-  int stall_count = 0;           // stall audits scored (cumulative)
-  int churn_flips = 0;           // unchokes beyond the per-window cap (cumulative)
   int churn_window_flips = 0;    // unchokes inside the current churn window
   sim::SimTime churn_window_start = -1;
-  int pex_spam_count = 0;        // structurally invalid gossiped endpoints
   std::map<net::Endpoint, PeerId> pex_learned;  // unique endpoints gossiped by them
   // Consecutive maintenance passes each piece timed out with no block of it
   // delivered in between (handle_piece erases the entry on delivery).
   std::map<int, int> piece_timeouts;
-  // Enforcement strikes already charged per category, so each threshold
-  // crossing costs exactly one strike (count / threshold beats the charged
-  // tally by one → strike).
-  int flood_strikes = 0;
-  int malformed_strikes = 0;
-  int liar_strikes = 0;
-  int stall_strikes = 0;
-  int churn_strikes = 0;
-  int pex_spam_strikes = 0;
 
  private:
   sim::Simulator* sim_;

@@ -4,14 +4,20 @@
 
 namespace wp2p::bt {
 
+namespace {
+constexpr sim::SimTime kRpcLatency = sim::milliseconds(150.0);  // one round trip
+// How long an announce to an unreachable tracker takes to fail at the
+// client (connection timeout), so failure is never instantaneous.
+constexpr sim::SimTime kFailureLatency = sim::seconds(3.0);
+}  // namespace
+
 void Tracker::announce(const AnnounceRequest& request, AnnounceCallback callback) {
   if (!reachable_) {
     // The announce is lost server-side, but the announcer still learns of the
-    // failure: its request times out after failure_latency.
+    // failure: its request times out after kFailureLatency.
     ++stats_.dropped_announces;
     if (callback) {
-      sim_.after(config_.failure_latency,
-                 [cb = std::move(callback)] { cb(AnnounceResult{false, {}}); });
+      sim_.after(kFailureLatency, [cb = std::move(callback)] { cb(AnnounceResult{false, {}}); });
     }
     return;
   }
@@ -22,8 +28,7 @@ void Tracker::announce(const AnnounceRequest& request, AnnounceCallback callback
   if (request.event == AnnounceEvent::kStopped) {
     swarm.entries.erase(request.peer_id);
     if (callback) {
-      sim_.after(config_.rpc_latency,
-                 [cb = std::move(callback)] { cb(AnnounceResult{true, {}}); });
+      sim_.after(kRpcLatency, [cb = std::move(callback)] { cb(AnnounceResult{true, {}}); });
     }
     return;
   }
@@ -35,7 +40,7 @@ void Tracker::announce(const AnnounceRequest& request, AnnounceCallback callback
 
   if (callback) {
     auto peers = select_peers(swarm, request.peer_id);
-    sim_.after(config_.rpc_latency,
+    sim_.after(kRpcLatency,
                [cb = std::move(callback), peers = std::move(peers)]() mutable {
                  cb(AnnounceResult{true, std::move(peers)});
                });

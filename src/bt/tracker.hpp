@@ -34,12 +34,8 @@ struct AnnounceRequest {
 };
 
 struct TrackerConfig {
-  sim::SimTime rpc_latency = sim::milliseconds(150.0);  // one round trip
   int max_peers_returned = 50;  // the usual tracker response size (Section 3.2)
   sim::SimTime peer_ttl = sim::minutes(45.0);  // entries expire without refresh
-  // How long an announce to an unreachable tracker takes to fail at the
-  // client (connection timeout), so failure is never instantaneous.
-  sim::SimTime failure_latency = sim::seconds(3.0);
 };
 
 // Outcome of one announce, delivered asynchronously to the announcer. `ok`
@@ -68,14 +64,14 @@ class Tracker {
 
   // Register/refresh the announcer and asynchronously return a random subset
   // of other peers in the swarm (empty for kStopped). The callback ALWAYS
-  // fires exactly once: with ok=true after rpc_latency on success, or with
-  // ok=false after failure_latency when the tracker is unreachable.
+  // fires exactly once: with ok=true after one RPC round trip on success, or
+  // with ok=false after a connection timeout when the tracker is unreachable.
   void announce(const AnnounceRequest& request, AnnounceCallback callback);
 
   // Outage injection (net::FaultInjector's tracker-outage hook): while
   // unreachable the tracker ignores announces — no state change, no peer
   // list — exactly how a dead HTTP tracker looks to a client, whose request
-  // errors out after a timeout (failure_latency).
+  // errors out after a timeout.
   void set_reachable(bool reachable) { reachable_ = reachable; }
   bool reachable() const { return reachable_; }
 

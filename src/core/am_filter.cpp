@@ -5,6 +5,8 @@
 namespace wp2p::core {
 
 namespace {
+constexpr sim::SimTime kRttWindow = sim::milliseconds(100.0);  // cwnd estimation window
+
 // The AM filter sits below one host's stack; the host is identified by the
 // local endpoint's address, the flow by the full endpoint pair.
 [[maybe_unused]] trace::TraceEvent am_event(trace::Kind kind, net::Endpoint local,
@@ -19,7 +21,7 @@ AmFilter::Flow& AmFilter::flow(net::Endpoint local, net::Endpoint remote) {
   FlowKey key{local, remote};
   auto it = flows_.find(key);
   if (it == flows_.end()) {
-    it = flows_.emplace(key, Flow{config_.rtt_window}).first;
+    it = flows_.emplace(key, Flow{kRttWindow}).first;
   }
   return it->second;
 }

@@ -28,7 +28,6 @@ namespace wp2p::core {
 
 struct AmConfig {
   std::int64_t gamma_bytes = 9 * 1024;  // YOUNG/MATURE boundary (~6 segments)
-  sim::SimTime rtt_window = sim::milliseconds(100.0);  // cwnd estimation window
   int dupack_drop_modulus = 4;  // drop every 4th DUPACK -> one quarter dropped
   bool decouple_acks = true;    // YOUNG-phase ACK decoupling
   bool throttle_dupacks = true;  // MATURE-phase DUPACK dropping

@@ -22,11 +22,8 @@
 namespace wp2p::core {
 
 struct SeedGuardConfig {
-  util::Rate alpha = util::Rate::kBps(10.0);      // upload increment
-  util::Rate beta = util::Rate::kBps(10.0);       // decrement base
   util::Rate max_upload = util::Rate::kBps(200.0);
   util::Rate min_upload = util::Rate::kBps(5.0);  // keep contributing a trickle
-  sim::SimTime interval = sim::seconds(5.0);
   // The foreground is considered harmed when its rate drops below this
   // fraction of the best rate observed so far.
   double tolerance = 0.9;
@@ -42,7 +39,7 @@ class SeedUploadGuard {
         probe_{std::move(probe)},
         config_{config},
         current_{config.max_upload * 0.5},
-        task_{sim, config.interval, [this] { update(); }} {}
+        task_{sim, kInterval, [this] { update(); }} {}
 
   void start() {
     client_.set_upload_limit(current_);
@@ -63,18 +60,22 @@ class SeedUploadGuard {
     if (harmed) {
       ++dec_count_;
       ++backoffs_;
-      current_ = current_ - config_.beta * static_cast<double>(dec_count_);
+      current_ = current_ - kBeta * static_cast<double>(dec_count_);
       // The ceiling itself decays: foreground demand may have grown.
       best_foreground_ *= 0.99;
     } else {
       dec_count_ = 0;
-      current_ = current_ + config_.alpha;
+      current_ = current_ + kAlpha;
     }
     current_ = std::clamp(current_, config_.min_upload, config_.max_upload);
     return current_;
   }
 
  private:
+  static constexpr util::Rate kAlpha = util::Rate::kBps(10.0);  // upload increment
+  static constexpr util::Rate kBeta = util::Rate::kBps(10.0);   // decrement base
+  static constexpr sim::SimTime kInterval = sim::seconds(5.0);
+
   void update() {
     const util::Rate before = current_;
     const util::Rate after = step(probe_());

@@ -27,8 +27,6 @@ struct WP2PConfig {
   bool mobility_aware = true;   // MF + role reversal + live-peer detection
   AmConfig am;
   LihdConfig lihd;
-  MaConfig ma;
-  MobilityDetectorConfig detector;
   bt::ClientConfig base;  // knobs of the underlying BitTorrent client
 };
 
@@ -42,7 +40,7 @@ class WP2PClient {
     if (config_.mobility_aware) base.role_reversal = true;
     client_ = std::make_unique<bt::Client>(node, stack, tracker, meta, base, start_as_seed);
     if (config_.mobility_aware) {
-      auto selector = std::make_unique<MobilityAwareSelector>(config_.ma);
+      auto selector = std::make_unique<MobilityAwareSelector>();
       ma_selector_ = selector.get();
       client_->set_selector(std::move(selector));
     }
@@ -55,8 +53,7 @@ class WP2PClient {
       lihd_ = std::make_unique<LihdController>(node.sim(), *client_, config_.lihd);
     }
     if (config_.mobility_aware) {
-      detector_ =
-          std::make_unique<MobilityDetector>(node.sim(), *client_, config_.detector);
+      detector_ = std::make_unique<MobilityDetector>(node.sim(), *client_);
     }
   }
 

@@ -47,8 +47,6 @@
 namespace wp2p::exp {
 
 struct FlyweightConfig {
-  int unchoke_slots = 4;              // tit-for-tat slots per background peer
-  int request_window = 8;             // outstanding block requests per session
   double seed_fraction = 0.2;         // initial seeds among background peers
   sim::SimTime announce_interval = sim::seconds(120.0);
   sim::SimTime choke_interval = sim::seconds(10.0);
@@ -334,7 +332,7 @@ class FlyweightSwarm {
 
   void fill_requests(Session& s) {
     if (!s.am_interested || s.peer_choking) return;
-    while (s.inflight < config_.request_window) {
+    while (s.inflight < kRequestWindow) {
       if (s.fetch_piece < 0) {
         s.fetch_piece = pick_piece(s);
         if (s.fetch_piece < 0) return;
@@ -385,7 +383,7 @@ class FlyweightSwarm {
     }
   }
 
-  // Tit-for-tat-lite: per peer, unchoke up to unchoke_slots interested
+  // Tit-for-tat-lite: per peer, unchoke up to kUnchokeSlots interested
   // sessions, preferring those that uploaded to us since the last round.
   void run_choke_round() {
     std::vector<Session*> interested;
@@ -399,9 +397,8 @@ class FlyweightSwarm {
       std::stable_sort(interested.begin(), interested.end(), [](Session* a, Session* b) {
         return a->uploaded_to_us > b->uploaded_to_us;
       });
-      const auto slots = static_cast<std::size_t>(config_.unchoke_slots);
       for (std::size_t i = 0; i < interested.size(); ++i) {
-        set_choke(*interested[i], i >= slots);
+        set_choke(*interested[i], i >= kUnchokeSlots);
       }
       for (auto& session : peer.sessions) {
         session->uploaded_to_us = 0;
@@ -455,6 +452,8 @@ class FlyweightSwarm {
   }
 
   static constexpr std::size_t kAnnounceCohorts = 16;
+  static constexpr std::size_t kUnchokeSlots = 4;  // tit-for-tat slots per background peer
+  static constexpr int kRequestWindow = 8;          // outstanding block requests per session
 
   World& world_;
   bt::Tracker& tracker_;

@@ -53,7 +53,6 @@ struct FuzzLimits {
   double max_duration_s = 240.0;
   std::int64_t min_file = 1 << 20;
   std::int64_t max_file = 3 << 20;
-  std::int64_t piece_size = 256 * 1024;
   int max_faults = 6;
   // Cellular slice: maximum multi-cell topology size generated scenarios may
   // request. 0 (the default) disables the slice entirely — generation draws
@@ -305,7 +304,6 @@ class ScenarioFuzzer {
     Scenario s;
     s.seed = seed;
     s.duration_s = rng.uniform(limits_.min_duration_s, limits_.max_duration_s);
-    s.piece_size = limits_.piece_size;
     s.file_size = rng.range(limits_.min_file, limits_.max_file) / s.piece_size * s.piece_size;
     if (s.file_size < s.piece_size) s.file_size = s.piece_size;
 

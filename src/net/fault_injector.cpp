@@ -32,7 +32,8 @@ Cell* FaultInjector::cell_target(const sim::FaultAction& action) {
   return cells_->find_cell(action.target);
 }
 
-void FaultInjector::trace_fault(const sim::FaultAction& action, bool start) {
+void FaultInjector::trace_fault([[maybe_unused]] const sim::FaultAction& action,
+                                [[maybe_unused]] bool start) {
   WP2P_TRACE(network_.sim(),
              trace::event(trace::Component::kFault,
                           start ? trace::Kind::kFaultStart : trace::Kind::kFaultEnd)

@@ -47,11 +47,9 @@
 namespace wp2p::sim {
 
 struct StorageParams {
-  SimTime write_latency = milliseconds(5.0);  // commit time per append
   double torn_write_prob = 0.0;   // journal a truncated record instead
   double stale_drop_prob = 0.0;   // ack the caller, never journal
-  double stall_prob = 0.0;        // append pays an extra stall
-  SimTime stall = seconds(2.0);   // the extra stall, when drawn
+  double stall_prob = 0.0;        // append pays an extra 2 s stall
   int journal_capacity = 8;       // bounded journal; oldest records evicted
 };
 
@@ -104,9 +102,9 @@ class StableStorage {
     const bool torn = rng_.bernoulli(params_.torn_write_prob);
     const bool stale = !torn && rng_.bernoulli(params_.stale_drop_prob);
     const bool stalled = rng_.bernoulli(params_.stall_prob);
-    SimTime latency = params_.write_latency;
+    SimTime latency = kWriteLatency;
     if (stalled) {
-      latency += params_.stall;
+      latency += kStall;
       ++stats_.stalls;
     }
     sim_.after(latency, [this, seq, payload = std::move(payload), torn, stale,
@@ -155,7 +153,7 @@ class StableStorage {
  private:
   void commit(std::uint64_t seq, std::string payload, bool torn, bool stale) {
     ++stats_.writes;
-    const char* outcome = "ok";
+    [[maybe_unused]] const char* outcome = "ok";
     if (stale) {
       // The device acked but the write never reached the journal.
       ++stats_.stale_drops;
@@ -183,6 +181,9 @@ class StableStorage {
                          .with("seq", static_cast<double>(seq))
                          .with("journal", static_cast<double>(journal_.size())));
   }
+
+  static constexpr SimTime kWriteLatency = milliseconds(5.0);  // commit time per append
+  static constexpr SimTime kStall = seconds(2.0);  // the extra stall, when drawn
 
   Simulator& sim_;
   StorageParams params_;

@@ -12,6 +12,27 @@ namespace wp2p::tcp {
 namespace {
 constexpr const char* kLog = "tcp";
 
+constexpr std::int64_t kMss = 1448;               // payload bytes per full segment
+constexpr std::int64_t kInitCwndSegments = 2;     // RFC 3390-era initial window
+constexpr std::int64_t kInitSsthresh = 64 * 1024;  // bytes (classic BSD initial ssthresh)
+constexpr sim::SimTime kMinRto = sim::milliseconds(200.0);
+// How long a receiver holds an owed ACK hoping to piggyback it on reverse
+// data before emitting a pure ACK (delayed-ACK timer).
+constexpr sim::SimTime kAckDelay = sim::milliseconds(10.0);
+constexpr int kAckEverySegments = 2;  // owe an urgent ACK after this many unacked arrivals
+// Grace period before an urgent (every-2nd-segment) ACK goes out pure.
+// Models batch packet processing: a reverse data segment transmitted within
+// this window absorbs the ACK, which is why bidirectional P2P connections
+// piggyback almost all their ACKs (Section 3.2 of the paper).
+constexpr sim::SimTime kQuickackDelay = sim::milliseconds(4.0);
+// When reverse data is queued (a bi-directional bulk exchange), hold owed
+// ACKs this long hoping to piggyback before emitting a pure ACK. Real
+// stacks defer ACKs aggressively in this situation — which is precisely
+// what makes piggybacked ACK info fragile on a lossy wireless leg and what
+// wP2P's Age-based Manipulation compensates for. DUPACKs are never held.
+constexpr sim::SimTime kPiggybackHold = sim::milliseconds(50.0);
+constexpr int kDupackThreshold = 3;
+
 // [[maybe_unused]]: referenced only from WP2P_TRACE expansions, which a
 // WP2P_TRACE_DISABLED build removes entirely.
 [[maybe_unused]] std::string flow_key(net::Endpoint local, net::Endpoint remote) {
@@ -45,8 +66,8 @@ Connection::Connection(Stack& stack, net::Endpoint local, net::Endpoint remote,
       remote_{remote},
       params_{params},
       ledger_{std::make_shared<MessageLedger>()} {
-  cwnd_ = static_cast<double>(params_.init_cwnd_segments * params_.mss);
-  ssthresh_ = static_cast<double>(params_.init_ssthresh);
+  cwnd_ = static_cast<double>(kInitCwndSegments * kMss);
+  ssthresh_ = static_cast<double>(kInitSsthresh);
 }
 
 Connection::~Connection() {
@@ -193,15 +214,13 @@ void Connection::handle_segment(const Segment& seg, bool corrupted) {
 void Connection::output() {
   try_send();
   if (!ack_owed_) return;
-  sim::SimTime delay = unacked_arrivals_ >= params_.ack_every_segments
-                           ? params_.quickack_delay
-                           : params_.ack_delay;
+  sim::SimTime delay = unacked_arrivals_ >= kAckEverySegments ? kQuickackDelay : kAckDelay;
   // Reverse bulk data queued but window-blocked: hold the ACK hoping to ride
   // the next data segment. Capped so fast flows cannot stretch ACKs without
   // bound (the hold matters in the slow, lossy small-window regime).
-  if (snd_nxt_ < app_end_ && unacked_arrivals_ < 4 * params_.ack_every_segments &&
-      params_.piggyback_hold > delay) {
-    delay = params_.piggyback_hold;
+  if (snd_nxt_ < app_end_ && unacked_arrivals_ < 4 * kAckEverySegments &&
+      kPiggybackHold > delay) {
+    delay = kPiggybackHold;
   }
   const sim::SimTime deadline = sim_.now() + delay;
   if (ack_event_ != sim::kInvalidEventId) {
@@ -249,7 +268,7 @@ void Connection::process_ack(const Segment& seg) {
 }
 
 void Connection::on_new_ack(std::int64_t ack, std::int64_t newly) {
-  const double mss = static_cast<double>(params_.mss);
+  const double mss = static_cast<double>(kMss);
   if (in_recovery_) {
     if (ack >= recover_) {
       cwnd_ = ssthresh_;
@@ -258,7 +277,7 @@ void Connection::on_new_ack(std::int64_t ack, std::int64_t newly) {
     } else {
       // NewReno partial ACK: retransmit the next hole, deflate the window.
       const std::int64_t len =
-          std::min<std::int64_t>(params_.mss, std::max<std::int64_t>(app_end_ - snd_una_, 0));
+          std::min<std::int64_t>(kMss, std::max<std::int64_t>(app_end_ - snd_una_, 0));
       if (len > 0 || (fin_pending_ && snd_una_ == app_end_)) {
         send_data_segment(snd_una_, len, /*fresh=*/false);
       }
@@ -284,28 +303,28 @@ void Connection::trace_cwnd([[maybe_unused]] const char* cause) {
                        .why(cause)
                        .with("cwnd", cwnd_)
                        .with("ssthresh", ssthresh_)
-                       .with("mss", static_cast<double>(params_.mss))
+                       .with("mss", static_cast<double>(kMss))
                        .with("flight", static_cast<double>(flight_size())));
 }
 
 void Connection::on_dupack() {
   if (in_recovery_) {
-    cwnd_ += static_cast<double>(params_.mss);
+    cwnd_ += static_cast<double>(kMss);
     return;  // the post-segment output pass transmits if the window opened
   }
-  if (++dupacks_ == params_.dupack_threshold) enter_fast_retransmit();
+  if (++dupacks_ == kDupackThreshold) enter_fast_retransmit();
 }
 
 void Connection::enter_fast_retransmit() {
   ++stats_.fast_retransmits;
-  const double mss = static_cast<double>(params_.mss);
+  const double mss = static_cast<double>(kMss);
   const double flight = static_cast<double>(flight_size());
   [[maybe_unused]] const double cwnd_before = cwnd_;
   ssthresh_ = std::max(flight / 2.0, 2.0 * mss);
   recover_ = snd_nxt_;
   in_recovery_ = true;
   const std::int64_t len =
-      std::min<std::int64_t>(params_.mss, std::max<std::int64_t>(app_end_ - snd_una_, 0));
+      std::min<std::int64_t>(kMss, std::max<std::int64_t>(app_end_ - snd_una_, 0));
   send_data_segment(snd_una_, len, /*fresh=*/false);
   cwnd_ = ssthresh_ + 3.0 * mss;
   WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpFastRetransmit, stack_, local_, remote_)
@@ -327,7 +346,7 @@ void Connection::try_send() {
     const std::int64_t flight = snd_nxt_ - snd_una_;
     if (static_cast<double>(flight) >= window) break;
     const std::int64_t len =
-        std::min<std::int64_t>(params_.mss, app_end_ - snd_nxt_);
+        std::min<std::int64_t>(kMss, app_end_ - snd_nxt_);
     const bool fresh = snd_nxt_ >= snd_max_;
     send_data_segment(snd_nxt_, len, fresh);
     snd_nxt_ += len + ((fin_pending_ && snd_nxt_ + len == app_end_) ? 1 : 0);
@@ -511,7 +530,7 @@ sim::SimTime Connection::current_rto() const {
   } else {
     base = srtt_ + std::max<sim::SimTime>(4 * rttvar_, sim::milliseconds(10.0));
   }
-  base = std::clamp(base, params_.min_rto, params_.max_rto);
+  base = std::clamp(base, kMinRto, params_.max_rto);
   // Exponential backoff for consecutive timeouts.
   for (int i = 0; i < backoff_ && base < params_.max_rto; ++i) base *= 2;
   return std::min(base, params_.max_rto);
@@ -560,7 +579,7 @@ void Connection::on_rto() {
     return;
   }
   ++stats_.timeouts;
-  const double mss = static_cast<double>(params_.mss);
+  const double mss = static_cast<double>(kMss);
   [[maybe_unused]] const double cwnd_before = cwnd_;
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0 * mss);
   cwnd_ = params_.unsafe_no_cwnd_floor ? mss * 0.5 : mss;

@@ -1,4 +1,5 @@
-// Tunable parameters of the TCP model.
+// Tunable parameters of the TCP model. The fixed ones (MSS, initial window,
+// ACK timing, DUPACK threshold) are constants in connection.cpp.
 #pragma once
 
 #include <cstdint>
@@ -8,29 +9,9 @@
 namespace wp2p::tcp {
 
 struct TcpParams {
-  std::int64_t mss = 1448;                      // payload bytes per full segment
-  std::int64_t init_cwnd_segments = 2;          // RFC 3390-era initial window
-  std::int64_t init_ssthresh = 64 * 1024;      // bytes (classic BSD initial ssthresh)
   std::int64_t rwnd = 256 * 1024;               // static receive window, bytes
   sim::SimTime init_rto = sim::seconds(1.0);
-  sim::SimTime min_rto = sim::milliseconds(200.0);
   sim::SimTime max_rto = sim::seconds(60.0);
-  // How long a receiver holds an owed ACK hoping to piggyback it on reverse
-  // data before emitting a pure ACK (delayed-ACK timer).
-  sim::SimTime ack_delay = sim::milliseconds(10.0);
-  int ack_every_segments = 2;  // owe an urgent ACK after this many unacked arrivals
-  // Grace period before an urgent (every-2nd-segment) ACK goes out pure.
-  // Models batch packet processing: a reverse data segment transmitted within
-  // this window absorbs the ACK, which is why bidirectional P2P connections
-  // piggyback almost all their ACKs (Section 3.2 of the paper).
-  sim::SimTime quickack_delay = sim::milliseconds(4.0);
-  // When reverse data is queued (a bi-directional bulk exchange), hold owed
-  // ACKs this long hoping to piggyback before emitting a pure ACK. Real
-  // stacks defer ACKs aggressively in this situation — which is precisely
-  // what makes piggybacked ACK info fragile on a lossy wireless leg and what
-  // wP2P's Age-based Manipulation compensates for. DUPACKs are never held.
-  sim::SimTime piggyback_hold = sim::milliseconds(50.0);
-  int dupack_threshold = 3;
   int max_data_retries = 8;  // consecutive RTOs before the connection fails
   int max_syn_retries = 5;
 

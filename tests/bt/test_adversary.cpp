@@ -129,7 +129,7 @@ TEST(Adversary, LiarAccruesZeroPayloadEvidence) {
 TEST(Adversary, WithholderAccruesRepeatPieceEvidence) {
   // The withholder serves most pieces but silently refuses a slice: with the
   // withholder as the only source of those pieces, the same pieces time out
-  // pass after pass and cross liar_repeat_passes. No seed here — the victim
+  // pass after pass and cross kLiarRepeatPasses. No seed here — the victim
   // can only ask the withholder.
   Metainfo meta = small_file();
   Swarm swarm{51, meta};

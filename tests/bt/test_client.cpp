@@ -125,11 +125,10 @@ TEST(ClientSwarm, UploadLimitIsRespected) {
 }
 
 TEST(ClientSwarm, SequentialSelectorDownloadsInOrder) {
-  auto config = fast_config();
-  config.selector = SelectorKind::kSequential;
   Swarm swarm{7, small_file()};
   swarm.add_wired("seed", true, fast_config());
-  auto& leech = swarm.add_wired("leech", false, config);
+  auto& leech = swarm.add_wired("leech", false, fast_config());
+  leech->set_selector(std::make_unique<SequentialSelector>());
   std::vector<int> completed;
   leech->on_piece_complete = [&](int piece) { completed.push_back(piece); };
   swarm.start_all();
@@ -238,7 +237,7 @@ TEST(ClientSwarm, AddressChangeReinitiatesTask) {
   const std::int64_t before = leech->stats().payload_downloaded;
   EXPECT_GT(before, 0);
   leech.host->node->change_address();
-  swarm.run_for(30.0);  // leech_reinit_delay is 5 s; give it time to resume
+  swarm.run_for(30.0);  // kLeechReinitDelay is 5 s; give it time to resume
   EXPECT_NE(leech->peer_id(), old_id);  // default client regenerates its id
   EXPECT_EQ(leech->stats().task_reinitiations, 1u);
   EXPECT_GT(leech->stats().payload_downloaded, before);  // download resumed

@@ -102,7 +102,7 @@ TEST(Recovery, TrackerRecoveryMidChainSucceedsOnNextRetryAndResetsBackoff) {
     } else if (!checked_fresh) {
       checked_fresh = true;
       EXPECT_EQ(ev.field("attempt"), 1.0);
-      EXPECT_EQ(ev.field("base_s"), 2.0);  // default announce_retry_initial
+      EXPECT_EQ(ev.field("base_s"), 2.0);  // kAnnounceRetryInitial
     }
   }
   EXPECT_GE(grown_base, 8.0);

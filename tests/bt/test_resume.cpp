@@ -380,7 +380,7 @@ TEST(Resume, StaleReinitTimerDiesWithItsIncarnation) {
   swarm.start_all();
   swarm.run_for(5.0);
 
-  // Hand-off arms the reinit timer (leech_reinit_delay = 5 s); the crash
+  // Hand-off arms the reinit timer (kLeechReinitDelay = 5 s); the crash
   // lands inside the window and the restart follows immediately.
   mob.host->node->change_address();
   swarm.run_for(1.0);
