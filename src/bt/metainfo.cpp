@@ -1,17 +1,9 @@
 #include "bt/metainfo.hpp"
 
 #include "util/assert.hpp"
+#include "util/fnv1a.hpp"
 
 namespace wp2p::bt {
-
-std::uint64_t fnv1a(const std::string& data) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 Metainfo Metainfo::create(std::string name, std::int64_t total_size,
                           std::int64_t piece_length, std::string announce,
@@ -27,7 +19,7 @@ Metainfo Metainfo::create(std::string name, std::int64_t total_size,
   m.piece_hashes.reserve(static_cast<std::size_t>(pieces));
   for (int i = 0; i < pieces; ++i) {
     m.piece_hashes.push_back(
-        fnv1a(m.name + "#" + std::to_string(content_id) + "/" + std::to_string(i)));
+        util::fnv1a(m.name + "#" + std::to_string(content_id) + "/" + std::to_string(i)));
   }
   // The real protocol hashes the bencoded info dict; we do the same with FNV.
   Bencode::Dict info;
@@ -37,13 +29,13 @@ Metainfo Metainfo::create(std::string name, std::int64_t total_size,
   std::string hashes;
   for (std::uint64_t h : m.piece_hashes) hashes += std::to_string(h) + ",";
   info["pieces"] = hashes;
-  m.info_hash = fnv1a(Bencode{info}.encode());
+  m.info_hash = util::fnv1a(Bencode{info}.encode());
   return m;
 }
 
 std::uint64_t Metainfo::block_tag(int piece, int block) const {
   std::uint64_t tag =
-      fnv1a(name + "!" + std::to_string(piece) + ":" + std::to_string(block));
+      util::fnv1a(name + "!" + std::to_string(piece) + ":" + std::to_string(block));
   // A single corrupt block must always perturb the accumulator; force a bit.
   return tag | 1;
 }

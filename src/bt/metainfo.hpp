@@ -58,7 +58,4 @@ struct Metainfo {
   }
 };
 
-// FNV-1a over a byte string; used for simulated piece hashes and info hashes.
-std::uint64_t fnv1a(const std::string& data);
-
 }  // namespace wp2p::bt

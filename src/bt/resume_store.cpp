@@ -3,7 +3,8 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
+
+#include "util/parse.hpp"
 
 namespace wp2p::bt {
 
@@ -48,27 +49,9 @@ std::vector<std::string_view> split(std::string_view line) {
   return tokens;
 }
 
-std::optional<std::string_view> value_of(std::string_view token, std::string_view key) {
-  if (token.size() <= key.size() + 1) return std::nullopt;
-  if (token.substr(0, key.size()) != key || token[key.size()] != '=') return std::nullopt;
-  return token.substr(key.size() + 1);
-}
-
-std::optional<std::uint64_t> parse_u64(std::string_view text, int base = 10) {
-  const std::string s{text};
-  char* end = nullptr;
-  const std::uint64_t v = std::strtoull(s.c_str(), &end, base);
-  if (end == s.c_str() || *end != '\0') return std::nullopt;
-  return v;
-}
-
-std::optional<double> parse_double(std::string_view text) {
-  const std::string s{text};
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == s.c_str() || *end != '\0') return std::nullopt;
-  return v;
-}
+using util::parse_double;
+using util::parse_u64;
+using util::value_of;
 
 }  // namespace
 

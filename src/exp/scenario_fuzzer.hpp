@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -43,6 +44,8 @@
 #include "trace/invariant_checker.hpp"
 #include "trace/jsonl.hpp"
 #include "trace/recorder.hpp"
+#include "util/fnv1a.hpp"
+#include "util/parse.hpp"
 
 namespace wp2p::exp {
 
@@ -103,8 +106,8 @@ struct ScenarioPeer {
   bool wp2p = false;  // identity retention + role reversal (+ AM when wireless)
   double preload = 0.0;
   // Starting cell of a cellular station (-1 = not cellular; the peer gets a
-  // plain WirelessChannel/WiredLink). Only meaningful when the scenario has
-  // cells > 0; cellular peers are also wireless.
+  // private wireless cell or a WiredLink). Only meaningful when the scenario
+  // has cells > 0; cellular peers are also wireless.
   int cell = -1;
   // Bandwidth class of a wired leech (-1 = unclassed: default link, no upload
   // limit). Indexes into exp::three_tier_classes() cyclically.
@@ -206,7 +209,9 @@ struct Scenario {
 
   // Parses the serialize() format. Lines starting with '#' and blank lines
   // are comments; returns nullopt if no scenario header is present or any
-  // non-comment line is malformed.
+  // non-comment line is malformed: an unknown key, a value that is not one
+  // whole number within its range, a duplicate peer name, or a peer cell
+  // outside [-1, cells).
   static std::optional<Scenario> parse(std::string_view text);
 };
 
@@ -266,28 +271,16 @@ namespace detail {
 class HashSink final : public trace::Sink {
  public:
   void on_event(const trace::TraceEvent& ev) override {
-    for (char c : trace::to_jsonl(ev)) {
-      hash_ ^= static_cast<unsigned char>(c);
-      hash_ *= 0x100000001b3ULL;
-    }
+    hash_ = util::fnv1a(trace::to_jsonl(ev), hash_);
     ++events_;
   }
   std::uint64_t hash() const { return hash_; }
   std::uint64_t events() const { return events_; }
 
  private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
+  std::uint64_t hash_ = util::kFnv1aBasis;
   std::uint64_t events_ = 0;
 };
-
-inline bool parse_kv(std::string_view tok, std::string_view key, std::string& out) {
-  if (tok.size() <= key.size() + 1 || tok.substr(0, key.size()) != key ||
-      tok[key.size()] != '=') {
-    return false;
-  }
-  out = std::string{tok.substr(key.size() + 1)};
-  return true;
-}
 
 }  // namespace detail
 
@@ -341,8 +334,8 @@ class ScenarioFuzzer {
         if (!p.wireless || p.is_seed || !rng.bernoulli(0.7)) continue;
         p.cell = static_cast<int>(rng.below(static_cast<std::size_t>(s.cells)));
         cellular.push_back(p.name);
-        // BER episodes act on WirelessChannel only; cellular stations take
-        // cell-ber faults instead.
+        // BER episodes act on a host's private cell only; cellular stations
+        // take cell-ber faults instead.
         std::erase(wireless, p.name);
       }
     }
@@ -675,6 +668,26 @@ class ScenarioFuzzer {
 };
 
 inline std::optional<Scenario> Scenario::parse(std::string_view text) {
+  // Strict readers: false on a malformed or out-of-range value, which
+  // rejects the whole spec.
+  const auto read_int = [](std::string_view v, int& out, std::int64_t min) {
+    const auto n = util::parse_i64(v);
+    if (!n || *n < min || *n > std::numeric_limits<int>::max()) return false;
+    out = static_cast<int>(*n);
+    return true;
+  };
+  const auto read_size = [](std::string_view v, std::int64_t& out) {
+    const auto n = util::parse_i64(v);
+    if (!n || *n < 1) return false;
+    out = *n;
+    return true;
+  };
+  const auto read_flag = [](std::string_view v, bool& out) {
+    if (v != "0" && v != "1") return false;
+    out = v == "1";
+    return true;
+  };
+
   Scenario s;
   bool saw_header = false;
   while (!text.empty()) {
@@ -697,74 +710,88 @@ inline std::optional<Scenario> Scenario::parse(std::string_view text) {
     }
     if (tokens.empty()) continue;
 
-    std::string value;
     if (tokens[0] == "scenario") {
       saw_header = true;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        if (detail::parse_kv(tokens[i], "seed", value)) {
-          s.seed = std::strtoull(value.c_str(), nullptr, 10);
-        } else if (detail::parse_kv(tokens[i], "duration", value)) {
-          s.duration_s = std::strtod(value.c_str(), nullptr);
-        } else if (detail::parse_kv(tokens[i], "file", value)) {
-          s.file_size = std::strtoll(value.c_str(), nullptr, 10);
-        } else if (detail::parse_kv(tokens[i], "piece", value)) {
-          s.piece_size = std::strtoll(value.c_str(), nullptr, 10);
-        } else if (detail::parse_kv(tokens[i], "unsafe", value)) {
-          s.unsafe_no_cwnd_floor = value == "1";
-        } else if (detail::parse_kv(tokens[i], "noban", value)) {
-          s.unsafe_no_ban = value == "1";
-        } else if (detail::parse_kv(tokens[i], "noenf", value)) {
-          s.unsafe_no_enforcement = value == "1";
-        } else if (detail::parse_kv(tokens[i], "trackers", value)) {
-          s.trackers = std::atoi(value.c_str());
-        } else if (detail::parse_kv(tokens[i], "trpeers", value)) {
-          s.tracker_peers = std::atoi(value.c_str());
-        } else if (detail::parse_kv(tokens[i], "pex", value)) {
-          s.pex = value == "1";
-        } else if (detail::parse_kv(tokens[i], "boot", value)) {
-          s.bootstrap = value == "1";
-        } else if (detail::parse_kv(tokens[i], "failover", value)) {
-          s.failover = value == "1";
-        } else if (detail::parse_kv(tokens[i], "cells", value)) {
-          s.cells = std::atoi(value.c_str());
-        } else if (detail::parse_kv(tokens[i], "sched", value)) {
-          const auto kind = net::scheduler_kind_from(value);
-          if (!kind) return std::nullopt;
-          s.cell_sched = *kind;
-        } else if (detail::parse_kv(tokens[i], "susp", value)) {
-          s.suspend_lifecycle = value == "1";
-        } else if (detail::parse_kv(tokens[i], "store", value)) {
-          if (!valid_storage_profile(value)) return std::nullopt;
-          s.storage_profile = value;
-        } else {
-          return std::nullopt;
+        const std::string_view tok = tokens[i];
+        bool ok = false;
+        if (const auto v = util::value_of(tok, "seed")) {
+          const auto seed = util::parse_u64(*v);
+          ok = seed.has_value();
+          if (ok) s.seed = *seed;
+        } else if (const auto v = util::value_of(tok, "duration")) {
+          const auto d = util::parse_double(*v);
+          ok = d && *d > 0.0 && sim::fits_sim_time(*d);
+          if (ok) s.duration_s = *d;
+        } else if (const auto v = util::value_of(tok, "file")) {
+          ok = read_size(*v, s.file_size);
+        } else if (const auto v = util::value_of(tok, "piece")) {
+          ok = read_size(*v, s.piece_size);
+        } else if (const auto v = util::value_of(tok, "unsafe")) {
+          ok = read_flag(*v, s.unsafe_no_cwnd_floor);
+        } else if (const auto v = util::value_of(tok, "noban")) {
+          ok = read_flag(*v, s.unsafe_no_ban);
+        } else if (const auto v = util::value_of(tok, "noenf")) {
+          ok = read_flag(*v, s.unsafe_no_enforcement);
+        } else if (const auto v = util::value_of(tok, "trackers")) {
+          ok = read_int(*v, s.trackers, 1);
+        } else if (const auto v = util::value_of(tok, "trpeers")) {
+          ok = read_int(*v, s.tracker_peers, 0);
+        } else if (const auto v = util::value_of(tok, "pex")) {
+          ok = read_flag(*v, s.pex);
+        } else if (const auto v = util::value_of(tok, "boot")) {
+          ok = read_flag(*v, s.bootstrap);
+        } else if (const auto v = util::value_of(tok, "failover")) {
+          ok = read_flag(*v, s.failover);
+        } else if (const auto v = util::value_of(tok, "cells")) {
+          ok = read_int(*v, s.cells, 0);
+        } else if (const auto v = util::value_of(tok, "sched")) {
+          const auto kind = net::scheduler_kind_from(*v);
+          ok = kind.has_value();
+          if (ok) s.cell_sched = *kind;
+        } else if (const auto v = util::value_of(tok, "susp")) {
+          ok = read_flag(*v, s.suspend_lifecycle);
+        } else if (const auto v = util::value_of(tok, "store")) {
+          ok = valid_storage_profile(*v);
+          if (ok) s.storage_profile = std::string{*v};
         }
+        if (!ok) return std::nullopt;
       }
     } else if (tokens[0] == "peer") {
       ScenarioPeer p;
       for (std::size_t i = 1; i < tokens.size(); ++i) {
-        if (detail::parse_kv(tokens[i], "name", value)) {
-          p.name = value;
-        } else if (detail::parse_kv(tokens[i], "link", value)) {
-          p.wireless = value == "wireless";
-        } else if (detail::parse_kv(tokens[i], "role", value)) {
-          p.is_seed = value == "seed";
-        } else if (detail::parse_kv(tokens[i], "wp2p", value)) {
-          p.wp2p = value == "1";
-        } else if (detail::parse_kv(tokens[i], "preload", value)) {
-          p.preload = std::strtod(value.c_str(), nullptr);
-        } else if (detail::parse_kv(tokens[i], "cell", value)) {
-          p.cell = std::atoi(value.c_str());
-        } else if (detail::parse_kv(tokens[i], "class", value)) {
-          p.bw_class = std::atoi(value.c_str());
-        } else if (detail::parse_kv(tokens[i], "adv", value)) {
-          if (!bt::adversary_kind_from(value)) return std::nullopt;
-          p.adversary = value;
-        } else {
-          return std::nullopt;
+        const std::string_view tok = tokens[i];
+        bool ok = false;
+        if (const auto v = util::value_of(tok, "name")) {
+          p.name = std::string{*v};
+          ok = true;
+        } else if (const auto v = util::value_of(tok, "link")) {
+          ok = *v == "wired" || *v == "wireless";
+          p.wireless = *v == "wireless";
+        } else if (const auto v = util::value_of(tok, "role")) {
+          ok = *v == "seed" || *v == "leech";
+          p.is_seed = *v == "seed";
+        } else if (const auto v = util::value_of(tok, "wp2p")) {
+          ok = read_flag(*v, p.wp2p);
+        } else if (const auto v = util::value_of(tok, "preload")) {
+          const auto f = util::parse_double(*v);
+          ok = f && *f >= 0.0 && *f <= 1.0;
+          if (ok) p.preload = *f;
+        } else if (const auto v = util::value_of(tok, "cell")) {
+          ok = read_int(*v, p.cell, -1);  // upper bound checked once cells= is known
+        } else if (const auto v = util::value_of(tok, "class")) {
+          ok = read_int(*v, p.bw_class, -1);
+        } else if (const auto v = util::value_of(tok, "adv")) {
+          ok = bt::adversary_kind_from(*v).has_value();
+          if (ok) p.adversary = std::string{*v};
         }
+        if (!ok) return std::nullopt;
       }
       if (p.name.empty()) return std::nullopt;
+      // Fault targets and the invariant checker both key peers by name.
+      for (const ScenarioPeer& other : s.peers) {
+        if (other.name == p.name) return std::nullopt;
+      }
       s.peers.push_back(std::move(p));
     } else if (tokens[0] == "fault") {
       auto action = sim::FaultAction::parse(line);
@@ -775,6 +802,9 @@ inline std::optional<Scenario> Scenario::parse(std::string_view text) {
     }
   }
   if (!saw_header || s.peers.empty()) return std::nullopt;
+  for (const ScenarioPeer& p : s.peers) {
+    if (p.cell >= s.cells) return std::nullopt;
+  }
   return s;
 }
 

@@ -13,7 +13,6 @@
 #include "net/cell.hpp"
 #include "net/network.hpp"
 #include "net/wired_link.hpp"
-#include "net/wireless_channel.hpp"
 #include "sim/simulator.hpp"
 #include "tcp/stack.hpp"
 #include "trace/recorder.hpp"
@@ -27,11 +26,9 @@ class World {
     std::unique_ptr<tcp::Stack> stack;
 
     net::Endpoint endpoint(std::uint16_t port) const { return {node->address(), port}; }
-    net::WirelessChannel* wireless() {
-      return dynamic_cast<net::WirelessChannel*>(node->access());
-    }
-    net::WiredLink* wired() { return dynamic_cast<net::WiredLink*>(node->access()); }
-    net::CellLink* cell_link() { return dynamic_cast<net::CellLink*>(node->access()); }
+    // This host's private wireless cell; null for wired hosts and topology
+    // stations.
+    net::Cell* wireless() { return net::wireless_of(*node); }
   };
 
   explicit World(std::uint64_t seed = 1) : sim{seed}, net{sim} {}
@@ -47,7 +44,7 @@ class World {
   Host& add_wireless_host(std::string name, net::WirelessParams params = {},
                           tcp::TcpParams tcp_params = {}) {
     net::Node& node = net.add_node(std::move(name));
-    node.attach(std::make_unique<net::WirelessChannel>(sim, node, net, params));
+    net::attach_wireless(node, params);
     hosts.push_back(Host{&node, std::make_unique<tcp::Stack>(node, tcp_params)});
     return hosts.back();
   }

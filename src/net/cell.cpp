@@ -16,8 +16,8 @@ namespace {
   return dir == Direction::kUp ? "up" : "down";
 }
 
-// Global FIFO over the whole AP buffer — exactly the single-cell
-// WirelessChannel behaviour (one DropTail queue shared by all stations).
+// Global FIFO over the whole AP buffer — what one DropTail queue shared by
+// all stations would serve.
 class FifoScheduler final : public DownlinkScheduler {
  public:
   const char* name() const override { return "fifo"; }
@@ -92,10 +92,31 @@ std::unique_ptr<DownlinkScheduler> make_scheduler(SchedulerKind kind) {
   return std::make_unique<FifoScheduler>();
 }
 
+// --- Private cells -----------------------------------------------------------
+
+Cell& attach_wireless(Node& node, WirelessParams params) {
+  auto link = std::make_unique<CellLink>(node.sim(), node, node.network());
+  link->private_cell_ = std::make_unique<Cell>(node.sim(), node.network(), params);
+  Cell& cell = *link->private_cell_;
+  link->join(cell);
+  node.attach(std::move(link));
+  return cell;
+}
+
+Cell* wireless_of(Node& node) {
+  auto* link = dynamic_cast<CellLink*>(node.access());
+  return link == nullptr ? nullptr : link->private_cell_.get();
+}
+
 // --- CellLink ----------------------------------------------------------------
 
 CellLink::CellLink(sim::Simulator& sim, Node& node, Network& network)
     : AccessLink{sim, node, network}, rng_{sim.rng().fork()} {}
+
+void CellLink::join(Cell& cell) {
+  slot_ = cell.attach(node_, *this);
+  cell_ = &cell;
+}
 
 void CellLink::enqueue_up(Packet pkt) {
   if (cell_ == nullptr) return;  // mid-hand-off: no AP association
@@ -120,7 +141,11 @@ Cell::Cell(sim::Simulator& sim, Network& network, std::size_t id, WirelessParams
       id_{id},
       name_{"cell" + std::to_string(id)},
       params_{params},
-      scheduler_{std::move(scheduler)} {}
+      scheduler_{std::move(scheduler)},
+      private_{false} {}
+
+Cell::Cell(sim::Simulator& sim, Network& network, WirelessParams params)
+    : sim_{sim}, network_{network}, id_{0}, params_{params}, private_{true} {}
 
 double Cell::packet_error_rate(std::int64_t size) const {
   if (params_.bit_error_rate <= 0.0) return 0.0;
@@ -211,6 +236,7 @@ std::size_t Cell::pick_up_slot() {
 }
 
 std::size_t Cell::pick_down_slot() {
+  if (private_) return 0;  // one station: nothing to schedule
   std::vector<StationView> backlogged;
   for (std::size_t i = 0; i < stations_.size(); ++i) {
     const Station& st = stations_[i];
@@ -257,11 +283,13 @@ void Cell::maybe_serve() {
   Station& st = stations_[slot];
   DropTailQueue& queue = dir == Direction::kUp ? st.up : st.down;
   if (dir == Direction::kDown) {
-    WP2P_TRACE(sim_, trace::event(trace::Component::kCell, trace::Kind::kCellServe)
-                         .at(st.node->name())
-                         .why(scheduler_->name())
-                         .with("cell", static_cast<double>(id_))
-                         .with("qlen", static_cast<double>(queue.size())));
+    if (!private_) {
+      WP2P_TRACE(sim_, trace::event(trace::Component::kCell, trace::Kind::kCellServe)
+                           .at(st.node->name())
+                           .why(scheduler_->name())
+                           .with("cell", static_cast<double>(id_))
+                           .with("qlen", static_cast<double>(queue.size())));
+    }
     st.down_seqs.pop_front();
   }
   Packet pkt = queue.pop();
@@ -327,10 +355,12 @@ void Cell::finish(std::size_t slot, Direction dir, Packet pkt, int attempt) {
       ++handoff_drops_;
       return;
     }
-    WP2P_TRACE(sim_, trace::event(trace::Component::kCell, trace::Kind::kCellDeliver)
-                         .at(station.node->name())
-                         .with("cell", static_cast<double>(id_))
-                         .with("size", static_cast<double>(pkt.size)));
+    if (!private_) {
+      WP2P_TRACE(sim_, trace::event(trace::Component::kCell, trace::Kind::kCellDeliver)
+                           .at(station.node->name())
+                           .with("cell", static_cast<double>(id_))
+                           .with("size", static_cast<double>(pkt.size)));
+    }
     station.node->deliver(std::move(pkt));
   });
   maybe_serve();
@@ -374,8 +404,7 @@ void CellularTopology::attach(Node& node, std::size_t cell_id) {
     node.attach(std::move(owned));
   }
   Cell& cell = cells_[cell_id];
-  link->slot_ = cell.attach(node, *link);
-  link->cell_ = &cell;
+  link->join(cell);
   WP2P_TRACE(sim_, trace::event(trace::Component::kCell, trace::Kind::kCellAttach)
                        .at(node.name())
                        .with("cell", static_cast<double>(cell_id))
@@ -407,7 +436,7 @@ void CellularTopology::handoff(Node& node, std::size_t to_cell) {
 
 int CellularTopology::cell_of(const Node& node) const {
   const auto* link = dynamic_cast<const CellLink*>(node.access());
-  if (link == nullptr || link->cell() == nullptr) return -1;
+  if (link == nullptr || link->cell_ == nullptr || link->cell_->private_) return -1;
   return static_cast<int>(link->cell()->id());
 }
 

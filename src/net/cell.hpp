@@ -1,22 +1,25 @@
-// Multi-cell wireless topology: N access points, roaming, downlink scheduling.
+// Wireless media: one access point's shared half-duplex channel, and the
+// multi-cell topology built from them.
 //
-// The paper's mobile hosts live in ONE shared WLAN cell (net::WirelessChannel);
-// every mobility effect expressible there is an address change over a single
-// medium. This subsystem generalizes to many cells:
+// The paper's mobile hosts each sit behind ONE shared WLAN channel; every
+// mobility effect expressible there is an address change over a single
+// medium. A Cell models that medium, and every wireless host gets a private
+// one-station Cell (attach_wireless). The multi-cell topology generalizes to
+// many access points:
 //
 //  * Cell — one access point's shared half-duplex medium, serving every
-//    attached station through a single channel server. The service algorithm
-//    mirrors WirelessChannel exactly (direction round-robin, contention
-//    surcharge, MAC ARQ, BER survival, AP DropTail buffer), so a one-cell
-//    topology with one station reproduces the single-channel model event for
-//    event — the golden fig2 trace is byte-identical modulo the extra
-//    cell-component events.
+//    attached station through a single channel server: direction
+//    round-robin, contention surcharge, MAC ARQ, BER survival, AP DropTail
+//    buffer. This is the repo's substitute for the paper's ns-2 wireless
+//    emulator. A private cell emits no `cell`-component trace events, so a
+//    one-cell topology with one station reproduces a wireless host event for
+//    event, modulo those events.
 //  * CellLink — a station's AccessLink. Detached during a hand-off (packets
 //    sent mid-roam are lost, as on a real re-associating interface).
-//  * DownlinkScheduler — pluggable AP queue discipline: global FIFO (the
-//    single-cell behaviour), round-robin-per-station, and longest-queue-first
-//    in the spirit of Neely, "Wireless Peer-to-Peer Scheduling in Mobile
-//    Networks" (arXiv:1202.4451).
+//  * DownlinkScheduler — pluggable AP queue discipline for topology cells:
+//    global FIFO, round-robin-per-station, and longest-queue-first in the
+//    spirit of Neely, "Wireless Peer-to-Peer Scheduling in Mobile Networks"
+//    (arXiv:1202.4451).
 //  * CellularTopology — owns the cells; handoff() detaches the station,
 //    acquires a fresh address (driving the client's existing
 //    MobilityDetector / identity-retention / reconnect machinery unchanged)
@@ -36,13 +39,59 @@
 
 #include "net/access_link.hpp"
 #include "net/queue.hpp"
-#include "net/wireless_channel.hpp"
 #include "util/units.hpp"
 
 namespace wp2p::net {
 
 class Cell;
 class CellularTopology;
+
+struct WirelessParams {
+  util::Rate capacity = util::Rate::mbps(24.0);  // effective 802.11g MAC throughput
+  // Optional per-direction serialization rates (cellular-style asymmetry:
+  // HSDPA-class downlink over a thin uplink). Zero — the default — means the
+  // direction inherits the shared `capacity`, keeping the symmetric model's
+  // arithmetic bit-identical. The medium stays ONE half-duplex server either
+  // way: directions still contend for airtime, they just serialize at
+  // different rates while holding it.
+  util::Rate up_capacity = util::Rate::zero();
+  util::Rate down_capacity = util::Rate::zero();
+  double bit_error_rate = 0.0;
+  sim::SimTime prop_delay = sim::microseconds(50);
+  std::size_t up_queue_limit = 50;    // station transmit buffer
+  std::size_t down_queue_limit = 50;  // AP buffer
+  // Fixed per-packet channel-access overhead (MAC contention, preamble, ACK).
+  sim::SimTime per_packet_overhead = sim::microseconds(100);
+  // 802.11 MAC-layer ARQ: a corrupted frame is retransmitted up to this many
+  // times, each attempt consuming airtime. Bit errors therefore mostly waste
+  // capacity rather than surface as packet loss; only frames that fail every
+  // attempt are dropped. Set to 0 for a raw (ns-2 style) error model where
+  // every corruption is a loss visible to TCP.
+  int mac_retries = 6;
+  // CSMA/CA contention inefficiency: when BOTH directions are backlogged
+  // (station and AP contend for the medium), each transmission pays this
+  // fractional airtime surcharge for collisions and backoff. 0 = ideal
+  // scheduler (default; keeps analytic timing exact for tests), ~0.5-1.0 =
+  // realistic loaded-WLAN behaviour. This is what makes uploads on a shared
+  // channel actively destroy download goodput (paper Figs. 3b, 8c).
+  double contention_overhead = 0.0;
+};
+
+// Effective serialization rate of one direction: the per-direction override
+// when set, else the shared capacity.
+inline util::Rate directional_capacity(const WirelessParams& params, Direction dir) {
+  const util::Rate cap = dir == Direction::kUp ? params.up_capacity : params.down_capacity;
+  return cap.is_zero() ? params.capacity : cap;
+}
+
+// Gives `node` its own wireless medium: a CellLink into a private one-station
+// Cell that the link owns, so the medium lives exactly as long as the node.
+// The link forks the simulator's RNG once, for its corruption draws.
+Cell& attach_wireless(Node& node, WirelessParams params);
+
+// The private cell attach_wireless gave `node`; null for wired hosts and
+// topology stations.
+Cell* wireless_of(Node& node);
 
 enum class SchedulerKind : std::uint8_t { kFifo, kRoundRobin, kLongestQueue };
 
@@ -70,6 +119,7 @@ std::unique_ptr<DownlinkScheduler> make_scheduler(SchedulerKind kind);
 
 // A station's access link into its current cell. Created on first attach and
 // owned by the Node for its lifetime; hand-offs re-point it at another cell.
+// A wireless host's link also owns its private cell.
 class CellLink final : public AccessLink {
  public:
   CellLink(sim::Simulator& sim, Node& node, Network& network);
@@ -84,6 +134,10 @@ class CellLink final : public AccessLink {
  private:
   friend class Cell;
   friend class CellularTopology;
+  friend Cell& attach_wireless(Node& node, WirelessParams params);
+  friend Cell* wireless_of(Node& node);
+
+  void join(Cell& cell);
 
   // Stats/hook forwarding for the serving cell (AccessLink members are
   // protected; the cell is the one spending this link's airtime).
@@ -99,17 +153,22 @@ class CellLink final : public AccessLink {
 
   Cell* cell_ = nullptr;  // null while detached (mid-hand-off)
   std::size_t slot_ = 0;  // station index inside cell_, valid while attached
-  // Per-station corruption draws. Forked ONCE at link creation — the same
-  // stream position a WirelessChannel constructor would fork at, which is
-  // what keeps a one-cell topology draw-identical to the single-channel model.
+  // Per-station corruption draws. Forked ONCE at link creation, and nothing
+  // else draws from the simulator's RNG when a station joins a cell, which is
+  // what keeps a one-cell topology draw-identical to a private cell.
   sim::Rng rng_;
+  std::unique_ptr<Cell> private_cell_;  // set by attach_wireless only
 };
 
 // One access point: a shared half-duplex medium over all attached stations.
 class Cell {
  public:
+  // Topology cell "cell<id>".
   Cell(sim::Simulator& sim, Network& network, std::size_t id, WirelessParams params,
        std::unique_ptr<DownlinkScheduler> scheduler);
+  // Private cell of one wireless host (attach_wireless): no name, no
+  // scheduler, no `cell`-component trace events, and outside every topology.
+  Cell(sim::Simulator& sim, Network& network, WirelessParams params);
 
   Cell(const Cell&) = delete;
   Cell& operator=(const Cell&) = delete;
@@ -118,16 +177,15 @@ class Cell {
   // "cellK"; the name FaultPlan targets address.
   const std::string& name() const { return name_; }
   const WirelessParams& params() const { return params_; }
-  const char* scheduler_name() const { return scheduler_->name(); }
 
-  // Live parameter mutation, WirelessChannel semantics: the frame in service
-  // keeps its already-scheduled airtime; queued frames see the new values
-  // (pinned by the channel-mutation regression tests).
+  // Live parameter mutation: the frame in service keeps its already-scheduled
+  // airtime; queued frames see the new values, and the corruption draw uses
+  // the BER in force when a frame's airtime ends (pinned by the
+  // channel-mutation regression tests).
   void set_bit_error_rate(double ber) { params_.bit_error_rate = ber; }
   void set_capacity(util::Rate capacity) { params_.capacity = capacity; }
   // Per-direction asymmetry, same live-mutation semantics as set_capacity.
   void set_up_capacity(util::Rate capacity) { params_.up_capacity = capacity; }
-  void set_down_capacity(util::Rate capacity) { params_.down_capacity = capacity; }
 
   // Cell outage: station/AP queues flush, new enqueues drop, the frame in
   // flight dies on completion, and service stays halted until recovery.
@@ -176,7 +234,8 @@ class Cell {
   std::size_t id_;
   std::string name_;
   WirelessParams params_;
-  std::unique_ptr<DownlinkScheduler> scheduler_;
+  std::unique_ptr<DownlinkScheduler> scheduler_;  // null for a private cell
+  const bool private_;
   std::deque<Station> stations_;  // deque: Station refs stay valid as cells grow
   bool busy_ = false;
   bool down_ = false;
@@ -187,6 +246,10 @@ class Cell {
   std::uint64_t outage_drops_ = 0;
   std::uint64_t handoff_drops_ = 0;
 };
+
+// perf/wp2p_perf.cpp names a wireless host's medium `net::WirelessChannel*`
+// and reads its mac_retransmissions(); nothing else uses this name.
+using WirelessChannel = Cell;
 
 class CellularTopology {
  public:
@@ -218,7 +281,7 @@ class CellularTopology {
   void handoff(Node& node, std::size_t to_cell);
 
   // Cell the node is currently attached to, or -1 (not a cellular station,
-  // or mid-hand-off).
+  // a wireless host on its private cell, or mid-hand-off).
   int cell_of(const Node& node) const;
 
   std::uint64_t handoffs() const { return handoffs_; }

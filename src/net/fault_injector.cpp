@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/cell.hpp"
-#include "net/wireless_channel.hpp"
 #include "trace/recorder.hpp"
 
 namespace wp2p::net {
@@ -23,13 +22,14 @@ void FaultInjector::schedule(const sim::FaultAction& action) {
   pending_.push_back(sim.at(start, [this, &action] { apply_start(action); }));
 }
 
-WirelessChannel* FaultInjector::wireless_of(Node& node) {
-  return dynamic_cast<WirelessChannel*>(node.access());
-}
-
 Cell* FaultInjector::cell_target(const sim::FaultAction& action) {
   if (cells_ == nullptr) return nullptr;
   return cells_->find_cell(action.target);
+}
+
+Cell* FaultInjector::ber_target(const sim::FaultAction& action, Node* target) {
+  if (action.kind == sim::FaultKind::kCellBer) return cell_target(action);
+  return target == nullptr ? nullptr : wireless_of(*target);
 }
 
 void FaultInjector::trace_fault([[maybe_unused]] const sim::FaultAction& action,
@@ -76,21 +76,23 @@ void FaultInjector::apply_start(const sim::FaultAction& action) {
       bracket_end(action.duration);
       break;
 
-    case sim::FaultKind::kBerEpisode: {
-      WirelessChannel* channel = wireless_of(*target);
-      if (channel == nullptr) {
-        ++stats_.skipped;  // BER is meaningless on a wired link
+    case sim::FaultKind::kBerEpisode:
+    case sim::FaultKind::kCellBer: {
+      Cell* cell = ber_target(action, target);
+      if (cell == nullptr) {
+        // ber: a wired host or a topology station has no medium of its own.
+        // cell-ber: no topology bound, or unknown cell name.
+        ++stats_.skipped;
         return;
       }
       auto it = std::find_if(ber_overrides_.begin(), ber_overrides_.end(),
-                             [&](const BerOverride& o) { return o.node == target; });
+                             [&](const BerOverride& o) { return o.cell == cell; });
       if (it == ber_overrides_.end()) {
-        ber_overrides_.push_back(BerOverride{target, channel->params().bit_error_rate, 1});
+        ber_overrides_.push_back(BerOverride{cell, cell->params().bit_error_rate, 1});
       } else {
         ++it->depth;
       }
-      channel->set_bit_error_rate(
-          std::max(channel->params().bit_error_rate, action.magnitude));
+      cell->set_bit_error_rate(std::max(cell->params().bit_error_rate, action.magnitude));
       bracket_end(action.duration);
       break;
     }
@@ -173,26 +175,6 @@ void FaultInjector::apply_start(const sim::FaultAction& action) {
       break;
     }
 
-    case sim::FaultKind::kCellBer: {
-      Cell* cell = cell_target(action);
-      if (cell == nullptr) {
-        ++stats_.skipped;
-        return;
-      }
-      auto it = std::find_if(cell_ber_overrides_.begin(), cell_ber_overrides_.end(),
-                             [&](const CellBerOverride& o) { return o.cell == cell; });
-      if (it == cell_ber_overrides_.end()) {
-        cell_ber_overrides_.push_back(
-            CellBerOverride{cell, cell->params().bit_error_rate, 1});
-      } else {
-        ++it->depth;
-      }
-      cell->set_bit_error_rate(
-          std::max(cell->params().bit_error_rate, action.magnitude));
-      bracket_end(action.duration);
-      break;
-    }
-
     case sim::FaultKind::kRoamStorm: {
       if (cells_ == nullptr || cells_->cell_of(*target) < 0) {
         ++stats_.skipped;  // not a cellular station
@@ -234,13 +216,13 @@ void FaultInjector::apply_end(const sim::FaultAction& action) {
       if (target != nullptr) target->set_connected(true);
       break;
 
-    case sim::FaultKind::kBerEpisode: {
+    case sim::FaultKind::kBerEpisode:
+    case sim::FaultKind::kCellBer: {
+      Cell* cell = ber_target(action, target);
       auto it = std::find_if(ber_overrides_.begin(), ber_overrides_.end(),
-                             [&](const BerOverride& o) { return o.node == target; });
+                             [&](const BerOverride& o) { return o.cell == cell; });
       if (it != ber_overrides_.end() && --it->depth == 0) {
-        if (WirelessChannel* channel = wireless_of(*target)) {
-          channel->set_bit_error_rate(it->saved_ber);
-        }
+        cell->set_bit_error_rate(it->saved_ber);
         ber_overrides_.erase(it);
       }
       break;
@@ -276,17 +258,6 @@ void FaultInjector::apply_end(const sim::FaultAction& action) {
     case sim::FaultKind::kCellOutage:
       if (Cell* cell = cell_target(action)) cell->set_down(false);
       break;
-
-    case sim::FaultKind::kCellBer: {
-      Cell* cell = cell_target(action);
-      auto it = std::find_if(cell_ber_overrides_.begin(), cell_ber_overrides_.end(),
-                             [&](const CellBerOverride& o) { return o.cell == cell; });
-      if (cell != nullptr && it != cell_ber_overrides_.end() && --it->depth == 0) {
-        cell->set_bit_error_rate(it->saved_ber);
-        cell_ber_overrides_.erase(it);
-      }
-      break;
-    }
 
     case sim::FaultKind::kSuspend:
       if (target != nullptr && on_peer_suspend) on_peer_suspend(*target, false);

@@ -2,9 +2,10 @@
 //
 // The injector schedules every action of the plan on the network's simulator
 // and realizes it through existing seams: Node::set_connected (link flaps,
-// crash windows), Node::change_address (hand-offs), WirelessChannel's BER
-// knob (bit-error episodes), and a PacketFilter installed on the target's
-// egress (duplication / reordering) — the same hook the wP2P AM module uses.
+// crash windows), Node::change_address (hand-offs), a Cell's BER knob
+// (bit-error episodes on a host's private cell or on a topology cell), and a
+// PacketFilter installed on the target's egress (duplication / reordering) —
+// the same hook the wP2P AM module uses.
 // Faults above the network layer (tracker outages, P2P process crashes) are
 // delegated to hooks so this layer stays independent of bt::; exp::bind_faults
 // wires them to a Swarm.
@@ -29,7 +30,6 @@ namespace wp2p::net {
 
 class Cell;
 class CellularTopology;
-class WirelessChannel;
 
 struct FaultInjectorStats {
   std::uint64_t applied = 0;    // actions whose start fired
@@ -106,30 +106,24 @@ class FaultInjector {
   void apply_end(const sim::FaultAction& action);
   void trace_fault(const sim::FaultAction& action, bool start);
   ChaosFilter& chaos_for(Node& node);
-  WirelessChannel* wireless_of(Node& node);
   Cell* cell_target(const sim::FaultAction& action);
+  // The medium a ber / cell-ber action acts on: the target host's private
+  // cell, or the topology cell the action names. Null when there is none.
+  Cell* ber_target(const sim::FaultAction& action, Node* target);
 
   Network& network_;
   sim::FaultPlan plan_;
   FaultInjectorStats stats_;
   int active_ = 0;
   std::vector<sim::EventId> pending_;
-  // node -> saved BER while an episode is in force (episodes on one node
-  // nest: the first start saves, the last end restores).
+  // cell -> saved BER while a ber or cell-ber episode is in force (episodes
+  // on one cell nest: the first start saves, the last end restores).
   struct BerOverride {
-    Node* node;
-    double saved_ber;
-    int depth;
-  };
-  std::vector<BerOverride> ber_overrides_;
-  // cell -> saved BER while a cell-ber episode is in force (same nesting
-  // discipline as BerOverride).
-  struct CellBerOverride {
     Cell* cell;
     double saved_ber;
     int depth;
   };
-  std::vector<CellBerOverride> cell_ber_overrides_;
+  std::vector<BerOverride> ber_overrides_;
   CellularTopology* cells_ = nullptr;
   std::deque<ChaosFilter> chaos_;  // deque: filters stay pinned once installed
   std::vector<Node*> chaos_nodes_;

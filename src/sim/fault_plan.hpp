@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -22,6 +21,7 @@
 
 #include "sim/rng.hpp"
 #include "sim/time.hpp"
+#include "util/parse.hpp"
 
 namespace wp2p::sim {
 
@@ -96,6 +96,8 @@ struct FaultAction {
     return buf;
   }
 
+  // Inverse of serialize(); nullopt for an unknown kind or key, a value that
+  // is not one finite number, a negative at or dur, or an end() past SimTime.
   static std::optional<FaultAction> parse(std::string_view line);
 };
 
@@ -290,28 +292,28 @@ inline std::optional<FaultAction> FaultAction::parse(std::string_view line) {
     const std::size_t eq = tok.find('=');
     if (eq == std::string_view::npos) return std::nullopt;
     const std::string_view key = tok.substr(0, eq);
-    const std::string value{tok.substr(eq + 1)};
+    const std::string_view value = tok.substr(eq + 1);
     if (key == "target") {
-      action.target = value;
+      action.target = std::string{value};
       continue;
     }
-    char* end = nullptr;
-    const double v = std::strtod(value.c_str(), &end);
-    if (end == value.c_str() || *end != '\0') return std::nullopt;
-    if (key == "at") {
+    const auto v = util::parse_double(value);
+    if (!v) return std::nullopt;
+    if (key == "at" || key == "dur") {
+      if (!fits_sim_time(*v)) return std::nullopt;
       // Round, don't truncate: serialize() prints whole microseconds as
       // %.6f, but strtod lands a hair below the decimal value, and
       // seconds()'s cast would drop a microsecond — breaking the
       // serialize/parse fixpoint the fuzzer round-trip tests rely on.
-      action.at = static_cast<SimTime>(std::llround(v * 1e6));
-    } else if (key == "dur") {
-      action.duration = static_cast<SimTime>(std::llround(v * 1e6));
+      (key == "at" ? action.at : action.duration) =
+          static_cast<SimTime>(std::llround(*v * 1e6));
     } else if (key == "mag") {
-      action.magnitude = v;
+      action.magnitude = *v;
     } else {
       return std::nullopt;
     }
   }
+  if (action.duration > kSimTimeMax - action.at) return std::nullopt;  // end() overflows
   return action;
 }
 

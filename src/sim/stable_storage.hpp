@@ -43,6 +43,7 @@
 #include "sim/time.hpp"
 #include "trace/recorder.hpp"
 #include "trace/trace.hpp"
+#include "util/fnv1a.hpp"
 
 namespace wp2p::sim {
 
@@ -85,12 +86,7 @@ class StableStorage {
 
   // FNV-1a over `data`, chained from `seed` — the journal checksum.
   static std::uint64_t chain_checksum(std::uint64_t seed, const std::string& data) {
-    std::uint64_t h = seed ^ 0xcbf29ce484222325ULL;
-    for (unsigned char byte : data) {
-      h ^= byte;
-      h *= 0x100000001b3ULL;
-    }
-    return h;
+    return util::fnv1a(data, seed ^ util::kFnv1aBasis);
   }
 
   // Commit `payload` asynchronously; `done(seq)` fires when the device acks.

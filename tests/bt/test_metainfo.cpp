@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "util/fnv1a.hpp"
+
 namespace wp2p::bt {
 namespace {
 
@@ -59,8 +61,11 @@ TEST(Metainfo, PieceHashesAreDistinct) {
 
 TEST(Fnv1a, MatchesKnownVector) {
   // FNV-1a 64-bit of empty string is the offset basis.
-  EXPECT_EQ(fnv1a(""), 0xcbf29ce484222325ULL);
-  EXPECT_NE(fnv1a("a"), fnv1a("b"));
+  EXPECT_EQ(util::fnv1a(""), 0xcbf29ce484222325ULL);
+  EXPECT_NE(util::fnv1a("a"), util::fnv1a("b"));
+  // Published FNV-1a 64-bit test vectors.
+  EXPECT_EQ(util::fnv1a("a"), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(util::fnv1a("foobar"), 0x85944171f73967e8ULL);
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST(Corpus, GoldenTraceMatchesCanonicalRun) {
 }
 
 // The same canonical run, but with the mobile attached through a ONE-cell
-// CellularTopology instead of the flat WirelessChannel. A single cell must be
+// CellularTopology instead of its private wireless cell. A single cell must be
 // a drop-in: the AP-side queueing, ARQ schedule, and every delivery land at
 // the same instants, so the trace matches the golden file byte-for-byte once
 // the cell-bookkeeping events (component "cell": attach/serve/deliver) are

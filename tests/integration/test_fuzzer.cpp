@@ -2,6 +2,10 @@
 // shrinking convergence.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "exp/parallel_runner.hpp"
 #include "exp/scenario_fuzzer.hpp"
 
@@ -53,6 +57,43 @@ TEST(ScenarioFuzzer, ScenarioSpecRoundTrips) {
   EXPECT_FALSE(Scenario::parse("scenario seed=1\n"));      // no peers
   EXPECT_FALSE(Scenario::parse("scenario bogus=1\n"));     // unknown key
   EXPECT_FALSE(Scenario::parse("scenario seed=1\npeer link=wired\n"));  // nameless
+}
+
+// Hand-written specs that must not parse: each would run on a value nobody
+// wrote (an unchecked number read), abort on a metainfo assertion, fire a
+// fault at t=0, or make a fault target or checker key ambiguous.
+TEST(ScenarioFuzzer, ParseRejectsMalformedValues) {
+  const std::string head = "scenario seed=1 duration=60 file=524288 piece=262144";
+  const std::string peers = "peer name=p0 link=wired role=seed\npeer name=p1 link=wireless\n";
+  const std::string spec = head + "\n" + peers;
+  ASSERT_TRUE(Scenario::parse(spec));  // each case below changes one thing
+  ASSERT_TRUE(Scenario::parse(spec + "fault ber at=5 dur=10 mag=1e-05 target=p1\n"));
+
+  const std::vector<std::pair<const char*, std::string>> cases = {
+      {"zero piece", "scenario seed=1 duration=60 file=524288 piece=0\n" + peers},
+      {"negative file", "scenario seed=1 duration=60 file=-5 piece=262144\n" + peers},
+      {"nan duration", "scenario seed=1 duration=nan file=524288 piece=262144\n" + peers},
+      {"zero duration", "scenario seed=1 duration=0 file=524288 piece=262144\n" + peers},
+      {"non-numeric seed", "scenario seed=abc duration=60 file=524288 piece=262144\n" + peers},
+      {"trailing garbage", "scenario seed=5x duration=60 file=524288 piece=262144\n" + peers},
+      {"non-numeric trackers", head + " trackers=abc\n" + peers},
+      {"flag not 0/1", head + " pex=2\n" + peers},
+      {"unknown link", head + "\npeer name=p0 link=wired role=seed\npeer name=p1 link=wifi\n"},
+      {"preload above 1", spec + "peer name=p2 link=wired preload=2\n"},
+      {"nan preload", spec + "peer name=p2 link=wired preload=nan\n"},
+      {"nan fault time", spec + "fault ber at=nan dur=10 mag=1e-05 target=p1\n"},
+      {"fault time past SimTime", spec + "fault ber at=1e300 dur=10 mag=1e-05 target=p1\n"},
+      {"negative fault duration", spec + "fault ber at=5 dur=-1 mag=1e-05 target=p1\n"},
+      {"infinite magnitude", spec + "fault ber at=5 dur=10 mag=inf target=p1\n"},
+      {"cell past the last", head + " cells=2 sched=fifo\n" + peers +
+                                 "peer name=m link=wireless cell=99\n"},
+      {"negative cell", head + " cells=2 sched=fifo\n" + peers +
+                            "peer name=m link=wireless cell=-3\n"},
+      {"duplicate peer name", spec + "peer name=p1 link=wired\n"},
+  };
+  for (const auto& [label, bad] : cases) {
+    EXPECT_FALSE(Scenario::parse(bad)) << label << ":\n" << bad;
+  }
 }
 
 TEST(ScenarioFuzzer, BandwidthClassesGateAndRoundTrip) {

@@ -242,7 +242,7 @@ TEST_P(ChannelSweep, PacketsAreDeliveredOrAccountedAsDrops) {
   params.up_queue_limit = 10;
   net::Node& m = net.add_node("m");
   net::Node& f = net.add_node("f");
-  m.attach(std::make_unique<net::WirelessChannel>(sim, m, net, params));
+  net::attach_wireless(m, params);
   net::WiredParams roomy;
   roomy.queue_limit = 100000;
   f.attach(std::make_unique<net::WiredLink>(sim, f, net, roomy));
@@ -253,7 +253,6 @@ TEST_P(ChannelSweep, PacketsAreDeliveredOrAccountedAsDrops) {
   } sink;
   f.set_sink(&sink);
 
-  auto* channel = dynamic_cast<net::WirelessChannel*>(m.access());
   const int n = 3000;
   int sent_into_queue = 0;
   // Pace sends so the queue can drain; count tail drops separately.
@@ -268,7 +267,7 @@ TEST_P(ChannelSweep, PacketsAreDeliveredOrAccountedAsDrops) {
     });
   }
   sim.run();
-  const auto& stats = channel->stats();
+  const auto& stats = m.access()->stats();
   // Conservation: every packet either arrived, died to residual bit errors,
   // or was tail-dropped at the queue.
   EXPECT_EQ(sink.received + stats.up_error_drops + stats.up_queue_drops,

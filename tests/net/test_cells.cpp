@@ -1,6 +1,6 @@
-// net::cell subsystem: single-cell equivalence with WirelessChannel, downlink
-// scheduler disciplines, outage and hand-off semantics, roaming schedules,
-// and cell-targeted fault injection.
+// net::cell subsystem: one-cell topology equivalence with a wireless host's
+// private cell, downlink scheduler disciplines, outage and hand-off
+// semantics, roaming schedules, and cell-targeted fault injection.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "net/fault_injector.hpp"
 #include "net/network.hpp"
 #include "net/wired_link.hpp"
-#include "net/wireless_channel.hpp"
 #include "sim/fault_plan.hpp"
 #include "sim/simulator.hpp"
 
@@ -56,7 +55,7 @@ Packet make_packet(Endpoint src, Endpoint dst, std::int64_t size) {
 
 // Exact zero-RNG timeline through a ONE-cell topology: byte-for-byte the
 // MacArqRetriesPayContentionOverhead schedule from test_links.cpp. A single
-// station in a single cell must reproduce the WirelessChannel event stream.
+// station in a single cell must reproduce a private cell's event stream.
 TEST_F(CellFixture, OneCellOneStationReproducesChannelArqTimeline) {
   WirelessParams params;
   params.capacity = util::Rate::bytes_per_sec(1000);
@@ -91,10 +90,11 @@ TEST_F(CellFixture, OneCellOneStationReproducesChannelArqTimeline) {
   EXPECT_EQ(m.access()->stats().down_error_drops, 2u);
 }
 
-// Stochastic equivalence: the same seeded workload through a WirelessChannel
-// world and a 1-cell world produces identical delivery timestamps, identical
-// retransmission counts, and an identical final clock — the corruption RNG is
-// forked at the same stream position in both.
+// Stochastic equivalence: the same seeded workload through a wireless host's
+// private cell (attach_wireless) and through a 1-cell topology produces
+// identical delivery timestamps, identical retransmission counts, and an
+// identical final clock — the corruption RNG is forked at the same stream
+// position in both.
 TEST(CellEquivalence, OneCellMatchesWirelessChannelUnderBerWorkload) {
   struct Outcome {
     std::vector<std::pair<sim::SimTime, std::int64_t>> up_deliveries;
@@ -121,7 +121,7 @@ TEST(CellEquivalence, OneCellMatchesWirelessChannelUnderBerWorkload) {
     if (use_cell) {
       topo.attach(m, 0);
     } else {
-      m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+      attach_wireless(m, params);
     }
     Node& f = net.add_node("fixed");
     WiredParams roomy;
@@ -144,12 +144,7 @@ TEST(CellEquivalence, OneCellMatchesWirelessChannelUnderBerWorkload) {
     Outcome out;
     out.up_deliveries = std::move(sink_f.got);
     out.down_deliveries = std::move(sink_m.got);
-    if (use_cell) {
-      auto* link = dynamic_cast<CellLink*>(m.access());
-      out.retx = link->cell()->mac_retransmissions();
-    } else {
-      out.retx = dynamic_cast<WirelessChannel*>(m.access())->mac_retransmissions();
-    }
+    out.retx = dynamic_cast<CellLink*>(m.access())->cell()->mac_retransmissions();
     out.up_error_drops = m.access()->stats().up_error_drops;
     out.down_error_drops = m.access()->stats().down_error_drops;
     out.end = sim.now();
@@ -513,18 +508,25 @@ TEST_F(CellFaultFixture, RoamStormOnNonCellularTargetSkips) {
   make_world(2);
   Node& wired = net.add_node("wired");
   wired.attach(std::make_unique<WiredLink>(sim, wired, net, WiredParams{}));
+  // A wireless host's private cell belongs to no topology: nowhere to roam.
+  Node& wireless = net.add_node("wireless");
+  attach_wireless(wireless, WirelessParams{});
+  const IpAddr address = wireless.address();
   sim::FaultPlan plan;
   plan.actions.push_back(cell_fault(sim::FaultKind::kRoamStorm, 1.0, 1.0, 2, "wired"));
+  plan.actions.push_back(cell_fault(sim::FaultKind::kRoamStorm, 1.0, 1.0, 2, "wireless"));
   FaultInjector injector{net, plan};
   injector.bind_cells(&topo);
   sim.run();
-  EXPECT_EQ(injector.stats().skipped, 1u);
+  EXPECT_EQ(injector.stats().skipped, 2u);
   EXPECT_EQ(topo.handoffs(), 0u);
+  EXPECT_EQ(topo.cell_of(wireless), -1);
+  EXPECT_EQ(wireless.address(), address);
 }
 
-// Live parameter mutation on a Cell: WirelessChannel semantics (the frame in
-// service keeps its airtime / takes the BER in force at completion) — the
-// cell-side half of the channel-mutation regression pins.
+// Live parameter mutation on a topology cell: the frame in service keeps its
+// airtime / takes the BER in force at completion — the topology-side half of
+// the channel-mutation regression pins in test_links.cpp.
 TEST_F(CellFixture, CellParameterMutationMatchesChannelSemantics) {
   WirelessParams params;
   params.capacity = util::Rate::bytes_per_sec(1000);

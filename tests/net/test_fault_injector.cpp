@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "exp/world.hpp"
+#include "net/cell.hpp"
 #include "net/fault_injector.hpp"
-#include "net/wireless_channel.hpp"
 #include "trace/invariant_checker.hpp"
 #include "trace/recorder.hpp"
 
@@ -143,12 +143,20 @@ TEST(FaultInjector, BerEpisodeRaisesAndRestoresWithNesting) {
 TEST(FaultInjector, BerOnWiredTargetIsSkipped) {
   exp::World world{3};
   world.add_wired_host("a");
+  // A topology station has no medium of its own either: `ber` leaves its
+  // shared cell alone (cell-wide BER is what `cell-ber` is for).
+  net::Cell& cell = world.enable_cells().add_cell();
+  world.add_cellular_host("s", 0);
   sim::FaultPlan plan;
-  plan.actions = {action(sim::FaultKind::kBerEpisode, 5, 10, 1e-5, "a")};
+  plan.actions = {action(sim::FaultKind::kBerEpisode, 5, 10, 1e-5, "a"),
+                  action(sim::FaultKind::kBerEpisode, 5, 10, 1e-5, "s")};
   net::FaultInjector injector{world.net, plan};
+  injector.bind_cells(world.cells.get());
+  world.sim.run_until(sim::seconds(6.0));
+  EXPECT_DOUBLE_EQ(cell.params().bit_error_rate, 0.0);
   world.sim.run_until(sim::seconds(20.0));
   EXPECT_EQ(injector.stats().applied, 0u);
-  EXPECT_EQ(injector.stats().skipped, 1u);
+  EXPECT_EQ(injector.stats().skipped, 2u);
 }
 
 TEST(FaultInjector, MissingTargetIsSkipped) {

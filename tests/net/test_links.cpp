@@ -4,9 +4,9 @@
 
 #include <memory>
 
+#include "net/cell.hpp"
 #include "net/network.hpp"
 #include "net/wired_link.hpp"
-#include "net/wireless_channel.hpp"
 #include "sim/simulator.hpp"
 
 namespace wp2p::net {
@@ -99,7 +99,7 @@ TEST_F(LinkFixture, WirelessSharedChannelHalvesEachDirection) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  attach_wireless(m, params);
   f.attach(std::make_unique<WiredLink>(sim, f, net, WiredParams{}));
   CollectSink sink_m, sink_f;
   m.set_sink(&sink_m);
@@ -129,11 +129,9 @@ TEST_F(LinkFixture, WirelessBerDropsLongPacketsMoreOften) {
   WirelessParams params;
   params.bit_error_rate = 1e-5;
   Node& m = net.add_node("mobile");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
-  ASSERT_NE(ch, nullptr);
-  const double per_small = ch->packet_error_rate(40);
-  const double per_large = ch->packet_error_rate(1488);
+  Cell& ch = attach_wireless(m, params);
+  const double per_small = ch.packet_error_rate(40);
+  const double per_large = ch.packet_error_rate(1488);
   EXPECT_GT(per_large, per_small * 10);
   EXPECT_NEAR(per_small, 1.0 - std::pow(1.0 - 1e-5, 320), 1e-12);
 }
@@ -147,7 +145,7 @@ TEST_F(LinkFixture, WirelessBerLosesExpectedFraction) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   WiredParams roomy;
   roomy.down_capacity = util::Rate::mbps(1000);
   roomy.queue_limit = 50000;  // only BER losses should matter in this test
@@ -161,8 +159,7 @@ TEST_F(LinkFixture, WirelessBerLosesExpectedFraction) {
     m.send(make_packet({m.address(), 1}, {f.address(), 2}, size));
   }
   sim.run();
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
-  const double expected_loss = ch->packet_error_rate(size);
+  const double expected_loss = ch.packet_error_rate(size);
   const double measured_loss = 1.0 - static_cast<double>(sink.received.size()) / n;
   EXPECT_NEAR(measured_loss, expected_loss, 0.02);
 }
@@ -177,7 +174,7 @@ TEST_F(LinkFixture, MacArqRecoversMostCorruptedFrames) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   WiredParams roomy;
   roomy.down_capacity = util::Rate::mbps(1000);
   roomy.queue_limit = 50000;
@@ -190,13 +187,13 @@ TEST_F(LinkFixture, MacArqRecoversMostCorruptedFrames) {
     m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1500));
   }
   sim.run();
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
   // Residual loss = per_attempt^(retries+1): ~0.21^7 ~ 1e-5, i.e. none here.
   EXPECT_GT(static_cast<double>(sink.received.size()) / n, 0.999);
   // But a substantial fraction of airtime went to retransmissions.
-  EXPECT_GT(ch->mac_retransmissions(), static_cast<std::uint64_t>(n / 10));
+  EXPECT_GT(ch.mac_retransmissions(), static_cast<std::uint64_t>(n / 10));
   // note_transmit counted every attempt.
-  EXPECT_EQ(ch->stats().up_packets, static_cast<std::uint64_t>(n) + ch->mac_retransmissions());
+  EXPECT_EQ(m.access()->stats().up_packets,
+            static_cast<std::uint64_t>(n) + ch.mac_retransmissions());
 }
 
 TEST_F(LinkFixture, MacArqRetriesPayContentionOverhead) {
@@ -214,7 +211,7 @@ TEST_F(LinkFixture, MacArqRetriesPayContentionOverhead) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   WiredParams fast;
   fast.up_capacity = util::Rate::mbps(1000);
   fast.prop_delay = 0;
@@ -229,16 +226,14 @@ TEST_F(LinkFixture, MacArqRetriesPayContentionOverhead) {
   }
   sim.run();
 
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
-  ASSERT_NE(ch, nullptr);
   // Exact timeline: up#1 = 1 s uncontended first attempt + 3 contended
   // retries (6 s) = 7 s; down#1 = 4 contended attempts = 8 s (t=15); up#2
   // likewise 8 s (t=23); down#2 is alone on the medium = 4 s (t=27). The old
   // code charged every retry the uncontended airtime and finished at 18 s.
   EXPECT_EQ(sim.now(), sim::seconds(27.0));
-  EXPECT_EQ(ch->mac_retransmissions(), 12u);  // 3 retries x 4 frames
-  EXPECT_EQ(ch->stats().up_error_drops, 2u);
-  EXPECT_EQ(ch->stats().down_error_drops, 2u);
+  EXPECT_EQ(ch.mac_retransmissions(), 12u);  // 3 retries x 4 frames
+  EXPECT_EQ(m.access()->stats().up_error_drops, 2u);
+  EXPECT_EQ(m.access()->stats().down_error_drops, 2u);
 }
 
 TEST_F(LinkFixture, WirelessQueueDropsWhenSaturated) {
@@ -247,7 +242,7 @@ TEST_F(LinkFixture, WirelessQueueDropsWhenSaturated) {
   params.up_queue_limit = 5;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  attach_wireless(m, params);
   f.attach(std::make_unique<WiredLink>(sim, f, net, WiredParams{}));
 
   int drops = 0;
@@ -311,18 +306,16 @@ TEST_F(LinkFixture, SetCapacityMidServiceKeepsInFlightAirtime) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   f.attach(std::make_unique<WiredLink>(sim, f, net, WiredParams{}));
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
-  ASSERT_NE(ch, nullptr);
   std::vector<sim::SimTime> attempt_done;
-  ch->on_transmit = [&](Direction, const Packet&) { attempt_done.push_back(sim.now()); };
+  m.access()->on_transmit = [&](Direction, const Packet&) { attempt_done.push_back(sim.now()); };
 
   // Two frames: #1 in service 0..1 s, #2 backlogged behind it.
   m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1000));
   m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1000));
   // Mid-service of frame #1, double the rate.
-  sim.at(sim::seconds(0.5), [&] { ch->set_capacity(util::Rate::bytes_per_sec(2000)); });
+  sim.at(sim::seconds(0.5), [&] { ch.set_capacity(util::Rate::bytes_per_sec(2000)); });
   sim.run();
 
   ASSERT_EQ(attempt_done.size(), 2u);
@@ -349,7 +342,7 @@ TEST_F(LinkFixture, WirelessAsymmetricCapacitiesShapeEachDirection) {
 
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  attach_wireless(m, params);
   WiredParams roomy;
   roomy.up_capacity = util::Rate::mbps(1000);
   roomy.down_capacity = util::Rate::mbps(1000);
@@ -385,16 +378,14 @@ TEST_F(LinkFixture, SetUpCapacityMidServiceKeepsInFlightAirtime) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   f.attach(std::make_unique<WiredLink>(sim, f, net, WiredParams{}));
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
-  ASSERT_NE(ch, nullptr);
   std::vector<sim::SimTime> attempt_done;
-  ch->on_transmit = [&](Direction, const Packet&) { attempt_done.push_back(sim.now()); };
+  m.access()->on_transmit = [&](Direction, const Packet&) { attempt_done.push_back(sim.now()); };
 
   m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1000));
   m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1000));
-  sim.at(sim::seconds(0.5), [&] { ch->set_up_capacity(util::Rate::bytes_per_sec(2000)); });
+  sim.at(sim::seconds(0.5), [&] { ch.set_up_capacity(util::Rate::bytes_per_sec(2000)); });
   sim.run();
 
   ASSERT_EQ(attempt_done.size(), 2u);
@@ -417,11 +408,10 @@ TEST_F(LinkFixture, SetBitErrorRateAppliesAtFrameCompletion) {
   net.path().core_delay = 0;
   Node& m = net.add_node("mobile");
   Node& f = net.add_node("fixed");
-  m.attach(std::make_unique<WirelessChannel>(sim, m, net, params));
+  Cell& ch = attach_wireless(m, params);
   f.attach(std::make_unique<WiredLink>(sim, f, net, WiredParams{}));
   CollectSink sink;
   f.set_sink(&sink);
-  auto* ch = dynamic_cast<WirelessChannel*>(m.access());
 
   // Frame #1 serves 0..1 s (lost: BER still 1 at t=1), #2 serves 1..2 s, #3
   // serves 2..3 s. Clearing the BER at t=1.5 — while #2 is on the air —
@@ -429,10 +419,10 @@ TEST_F(LinkFixture, SetBitErrorRateAppliesAtFrameCompletion) {
   for (int i = 0; i < 3; ++i) {
     m.send(make_packet({m.address(), 1}, {f.address(), 2}, 1000));
   }
-  sim.at(sim::seconds(1.5), [&] { ch->set_bit_error_rate(0.0); });
+  sim.at(sim::seconds(1.5), [&] { ch.set_bit_error_rate(0.0); });
   sim.run();
 
-  EXPECT_EQ(ch->stats().up_error_drops, 1u);
+  EXPECT_EQ(m.access()->stats().up_error_drops, 1u);
   EXPECT_EQ(sink.received.size(), 2u);
 }
 
