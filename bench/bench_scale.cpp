@@ -197,5 +197,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--tolerance: expected a fraction in (0,1)\n");
     return 2;
   }
-  return wp2p::scale_main();
+  const int rc = wp2p::scale_main();
+  const int trace_rc = wp2p::bench::trace_report();
+  return rc != 0 ? rc : trace_rc;
 }

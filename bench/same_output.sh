@@ -3,9 +3,14 @@
 # computes. Runs 13 bench commands, each with --runs 1 --jobs 1, on two
 # builds and compares their stdout byte for byte and their exit codes:
 #   bash bench/same_output.sh PARENT_BUILD CHANGE_BUILD
-# Use Release builds of the bench binaries. Prints one line per command and
-# exits non-zero naming the first command that differs. The two builds run
-# side by side, one process each; the sweep takes a few minutes.
+# The seven commands whose scenarios feed the shared trace session also run
+# with --trace and --check-invariants; their traces (up to a few hundred MB
+# each) are hashed through a pipe, never written to disk, and compared too.
+# Tracing leaves stdout unchanged, so the stdout comparison means the same
+# for every command. Use Release builds of the bench binaries. Prints one
+# line per command and exits non-zero naming the first command that
+# differs. The two builds run side by side, one process each; the sweep
+# takes a few minutes.
 set -euo pipefail
 if [[ $# -ne 2 ]]; then
   echo "usage: $0 PARENT_BUILD CHANGE_BUILD" >&2
@@ -31,18 +36,42 @@ commands=(
   "bench_clustering"
   "bench_resume"
 )
+traced=" bench_fig2_bitcp bench_fig3_incentives bench_fig4_mobility bench_fig8_am_ia \
+bench_fig9_ma bench_ablation bench_resume "
+
+# run SIDE BINARY [ARGS...]: leaves SIDE.out, SIDE.err, SIDE.rc and SIDE.trace
+# ("<sha256> <lines>" of the trace; empty input for untraced commands).
+run() {
+  local side="$1" binary="$2"
+  shift 2
+  local flags=(--runs 1 --jobs 1)
+  if [[ "$traced" == *" ${binary##*/} "* ]]; then
+    flags+=(--trace /dev/fd/3 --check-invariants)
+  fi
+  {
+    local rc=0
+    "$binary" "$@" "${flags[@]}" 3>&1 > "$out/$side.out" 2> "$out/$side.err" || rc=$?
+    echo "$rc" > "$out/$side.rc"
+  } | python3 -c '
+import hashlib, sys
+digest, lines = hashlib.sha256(), 0
+for chunk in iter(lambda: sys.stdin.buffer.read(1 << 20), b""):
+    digest.update(chunk)
+    lines += chunk.count(b"\n")
+print(digest.hexdigest(), lines)' > "$out/$side.trace"
+}
 
 for cmd in "${commands[@]}"; do
   read -r -a argv <<< "$cmd"
   # stderr carries wall-clock lines, so only stdout is compared.
-  "$parent/${argv[0]}" "${argv[@]:1}" --runs 1 --jobs 1 > "$out/parent.out" 2> "$out/parent.err" &
+  run parent "$parent/${argv[0]}" "${argv[@]:1}" &
   parent_pid=$!
-  "$change/${argv[0]}" "${argv[@]:1}" --runs 1 --jobs 1 > "$out/change.out" 2> "$out/change.err" &
+  run change "$change/${argv[0]}" "${argv[@]:1}" &
   change_pid=$!
-  parent_rc=0
-  wait "$parent_pid" || parent_rc=$?
-  change_rc=0
-  wait "$change_pid" || change_rc=$?
+  wait "$parent_pid"
+  wait "$change_pid"
+  parent_rc="$(< "$out/parent.rc")"
+  change_rc="$(< "$out/change.rc")"
   if [[ "$parent_rc" -ne "$change_rc" ]]; then
     echo "DIFFERS $cmd: exit $parent_rc vs $change_rc"
     exit 1
@@ -52,6 +81,20 @@ for cmd in "${commands[@]}"; do
     diff "$out/parent.out" "$out/change.out" | head -n 20 || true
     exit 1
   fi
-  echo "same    $cmd (exit $change_rc, $(wc -l < "$out/change.out") lines)"
+  read -r hash lines < "$out/change.trace"
+  if [[ "$traced" == *" ${argv[0]} "* ]]; then
+    if ! cmp -s "$out/parent.trace" "$out/change.trace"; then
+      echo "DIFFERS $cmd: trace ($(< "$out/parent.trace") vs $hash $lines)"
+      exit 1
+    fi
+    if [[ "$lines" -eq 0 ]]; then
+      echo "EMPTY   $cmd: neither build wrote a trace line"
+      exit 1
+    fi
+    trace_note=", trace $lines lines sha256 ${hash:0:16}"
+  else
+    trace_note=""
+  fi
+  echo "same    $cmd (exit $change_rc, $(wc -l < "$out/change.out") lines$trace_note)"
 done
-echo "all ${#commands[@]} commands give the same stdout and exit code"
+echo "all ${#commands[@]} commands give the same stdout and exit code; 7 give the same trace"

@@ -20,7 +20,7 @@ test -s trace.jsonl
 "$bench/bench_faults" --blackout --runs 1
 "$bench/bench_cells" --cells 3 --runs 1
 "$bench/bench_clustering" --runs 1
-"$bench/bench_resume" --runs 1
+"$bench/bench_resume" --runs 1 --check-invariants
 
 # Reduced scale sweep against the committed baseline: events/sec within 60%
 # (shared runners are noisy) and exact event counts. The duration must match

@@ -11,7 +11,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 
 #include "sim/simulator.hpp"
 #include "trace/invariant_checker.hpp"
@@ -91,7 +90,7 @@ class ScopedTrace {
     sim_ = &sim;
     sim_->set_tracer(&session->recorder);
     session->recorder.emit(trace::event(trace::Component::kSim, trace::Kind::kScenario)
-                               .on(std::move(label)));
+                               .on(label));
   }
 
   ~ScopedTrace() {
@@ -112,20 +111,35 @@ class ScopedTrace {
 };
 
 // End-of-main summary. Prints to stderr (stdout stays byte-comparable across
-// trace settings) and returns the process exit code: non-zero iff
-// --check-invariants saw a violation.
+// trace settings) and returns the process exit code: 1 if --check-invariants
+// saw a violation, 2 if the trace file could not be written in full or no
+// scenario this binary ran claimed the session (the flags would otherwise be
+// silent no-ops), else 0.
 inline int trace_report() {
   detail::TraceSession* session = detail::trace_session();
   if (session == nullptr) return 0;
+  // Every claiming scenario emits its `scenario` marker first.
+  if (session->recorder.emitted() == 0) {
+    std::fprintf(stderr,
+                 "trace: no scenario in this binary feeds the shared trace session; "
+                 "--trace and --check-invariants recorded nothing\n");
+    return 2;
+  }
   std::fprintf(stderr, "trace: %llu events recorded",
                static_cast<unsigned long long>(session->recorder.emitted()));
+  bool written = true;
   if (session->writer) {
-    session->writer->flush();
+    written = session->writer->flush();
     std::fprintf(stderr, ", %llu lines -> %s",
                  static_cast<unsigned long long>(session->writer->lines_written()),
                  session->writer->path().c_str());
   }
   std::fprintf(stderr, "\n");
+  if (!written) {
+    std::fprintf(stderr, "trace: writing %s failed; the trace file is incomplete\n",
+                 session->writer->path().c_str());
+  }
+  int rc = written ? 0 : 2;
   if (session->checker) {
     const auto& violations = session->checker->violations();
     std::fprintf(stderr,
@@ -137,9 +151,9 @@ inline int trace_report() {
     for (const trace::Violation& v : violations) {
       std::fprintf(stderr, "  VIOLATION %s\n", trace::to_string(v).c_str());
     }
-    if (!violations.empty()) return 1;
+    if (!violations.empty() && rc == 0) rc = 1;
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace wp2p::bench

@@ -8,12 +8,18 @@ namespace {
 constexpr sim::SimTime kRttWindow = sim::milliseconds(100.0);  // cwnd estimation window
 
 // The AM filter sits below one host's stack; the host is identified by the
-// local endpoint's address, the flow by the full endpoint pair.
-[[maybe_unused]] trace::TraceEvent am_event(trace::Kind kind, net::Endpoint local,
-                                            net::Endpoint remote) {
-  return trace::event(trace::Component::kAm, kind)
-      .at(net::to_string(local.addr))
-      .on(net::to_string(local) + ">" + net::to_string(remote));
+// local endpoint's address, the flow by the full endpoint pair. A site builds
+// the names as a temporary, so they live until its emit interns them.
+struct AmNames {
+  AmNames(net::Endpoint local, net::Endpoint remote)
+      : node{net::to_string(local.addr)},
+        key{net::to_string(local) + ">" + net::to_string(remote)} {}
+  std::string node;
+  std::string key;
+};
+
+[[maybe_unused]] trace::TraceEvent am_event(trace::Kind kind, const AmNames& names) {
+  return trace::event(trace::Component::kAm, kind).at(names.node).on(names.key);
 }
 }  // namespace
 
@@ -46,7 +52,7 @@ void AmFilter::trace_class([[maybe_unused]] Flow& f, [[maybe_unused]] net::Endpo
   const int cls = is_young ? 1 : 0;
   if (cls == f.traced_class) return;
   f.traced_class = cls;
-  WP2P_TRACE(sim_, am_event(trace::Kind::kAmClassify, local, remote)
+  WP2P_TRACE(sim_, am_event(trace::Kind::kAmClassify, {local, remote})
                        .why(is_young ? "young" : "mature")
                        .with("estimate", static_cast<double>(
                                              f.ingress_bytes.sum(sim_.now())))
@@ -84,14 +90,14 @@ void AmFilter::egress(net::Packet pkt, std::vector<net::Packet>& out) {
             f.dupack_count % static_cast<std::uint64_t>(config_.dupack_drop_modulus) == 0) {
           ++stats_.dupacks_dropped;
           ++f.dupacks_dropped;
-          WP2P_TRACE(sim_, am_event(trace::Kind::kAmDupackDrop, pkt.src, pkt.dst)
+          WP2P_TRACE(sim_, am_event(trace::Kind::kAmDupackDrop, {pkt.src, pkt.dst})
                                .with("seen", static_cast<double>(f.dupack_count))
                                .with("dropped", static_cast<double>(f.dupacks_dropped))
                                .with("modulus",
                                      static_cast<double>(config_.dupack_drop_modulus)));
           return;  // drop: the sender still sees 3/4 of the DUPACK stream
         }
-        WP2P_TRACE(sim_, am_event(trace::Kind::kAmDupackPass, pkt.src, pkt.dst)
+        WP2P_TRACE(sim_, am_event(trace::Kind::kAmDupackPass, {pkt.src, pkt.dst})
                              .with("seen", static_cast<double>(f.dupack_count))
                              .with("dropped", static_cast<double>(f.dupacks_dropped))
                              .with("modulus",
@@ -119,7 +125,7 @@ void AmFilter::egress(net::Packet pkt, std::vector<net::Packet>& out) {
     ack_pkt.size = ack->wire_size();
     ack_pkt.payload = std::move(ack);
     ++stats_.acks_decoupled;
-    WP2P_TRACE(sim_, am_event(trace::Kind::kAmDecouple, pkt.src, pkt.dst)
+    WP2P_TRACE(sim_, am_event(trace::Kind::kAmDecouple, {pkt.src, pkt.dst})
                          .with("estimate", static_cast<double>(
                                                f.ingress_bytes.sum(sim_.now())))
                          .with("gamma", static_cast<double>(config_.gamma_bytes))

@@ -271,13 +271,16 @@ namespace detail {
 class HashSink final : public trace::Sink {
  public:
   void on_event(const trace::TraceEvent& ev) override {
-    hash_ = util::fnv1a(trace::to_jsonl(ev), hash_);
+    line_.clear();
+    trace::append_jsonl(line_, ev);
+    hash_ = util::fnv1a(line_, hash_);
     ++events_;
   }
   std::uint64_t hash() const { return hash_; }
   std::uint64_t events() const { return events_; }
 
  private:
+  std::string line_;  // reused line buffer
   std::uint64_t hash_ = util::kFnv1aBasis;
   std::uint64_t events_ = 0;
 };

@@ -35,15 +35,9 @@ constexpr int kDupackThreshold = 3;
 
 // [[maybe_unused]]: referenced only from WP2P_TRACE expansions, which a
 // WP2P_TRACE_DISABLED build removes entirely.
-[[maybe_unused]] std::string flow_key(net::Endpoint local, net::Endpoint remote) {
-  return net::to_string(local) + ">" + net::to_string(remote);
-}
-
 [[maybe_unused]] trace::TraceEvent tcp_event(trace::Kind kind, Stack& stack,
-                                             net::Endpoint local, net::Endpoint remote) {
-  return trace::event(trace::Component::kTcp, kind)
-      .at(stack.node().name())
-      .on(flow_key(local, remote));
+                                             std::string_view key) {
+  return trace::event(trace::Component::kTcp, kind).at(stack.node().name()).on(key);
 }
 }
 
@@ -112,7 +106,7 @@ void Connection::fail(CloseReason reason) {
   }
   state_ = ConnState::kDead;
   stack_.connection_dead(*this);
-  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpClose, stack_, local_, remote_)
+  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpClose, stack_, trace_key())
                        .why(to_string(reason)));
   WP2P_LOG(util::LogLevel::kDebug, sim::to_seconds(sim_.now()), kLog, "%s -> %s closed: %s",
            net::to_string(local_).c_str(), net::to_string(remote_).c_str(),
@@ -158,7 +152,7 @@ void Connection::become_established() {
   state_ = fin_pending_ ? ConnState::kFinSent : ConnState::kEstablished;
   backoff_ = 0;
   cancel_rto();
-  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpState, stack_, local_, remote_)
+  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpState, stack_, trace_key())
                        .why(state_ == ConnState::kFinSent ? "fin-sent" : "established")
                        .with("cwnd", cwnd_)
                        .with("ssthresh", ssthresh_));
@@ -296,10 +290,17 @@ void Connection::on_new_ack(std::int64_t ack, std::int64_t newly) {
   }
 }
 
+// Built once per connection, so a traced flow formats its endpoints once, not
+// once per event; the endpoints never change for the connection's life.
+std::string_view Connection::trace_key() {
+  if (trace_key_.empty()) trace_key_ = net::to_string(local_) + ">" + net::to_string(remote_);
+  return trace_key_;
+}
+
 // One kTcpCwnd event per window change; `cause` tells the invariant checker
 // which rule applies (it keys specifically on "exit-recovery").
 void Connection::trace_cwnd([[maybe_unused]] const char* cause) {
-  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpCwnd, stack_, local_, remote_)
+  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpCwnd, stack_, trace_key())
                        .why(cause)
                        .with("cwnd", cwnd_)
                        .with("ssthresh", ssthresh_)
@@ -327,7 +328,7 @@ void Connection::enter_fast_retransmit() {
       std::min<std::int64_t>(kMss, std::max<std::int64_t>(app_end_ - snd_una_, 0));
   send_data_segment(snd_una_, len, /*fresh=*/false);
   cwnd_ = ssthresh_ + 3.0 * mss;
-  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpFastRetransmit, stack_, local_, remote_)
+  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpFastRetransmit, stack_, trace_key())
                        .with("cwnd_before", cwnd_before)
                        .with("cwnd", cwnd_)
                        .with("ssthresh", ssthresh_)
@@ -584,7 +585,7 @@ void Connection::on_rto() {
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0 * mss);
   cwnd_ = params_.unsafe_no_cwnd_floor ? mss * 0.5 : mss;
   if (params_.unsafe_no_cwnd_floor) trace_cwnd("rto-collapse");
-  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpRto, stack_, local_, remote_)
+  WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpRto, stack_, trace_key())
                        .with("cwnd_before", cwnd_before)
                        .with("cwnd", cwnd_)
                        .with("ssthresh", ssthresh_)

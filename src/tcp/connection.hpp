@@ -14,6 +14,8 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -144,6 +146,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void fail(CloseReason reason);
   void become_established();
   void trace_cwnd(const char* cause);  // kTcpCwnd trace point
+  std::string_view trace_key();        // "local>remote", built on first use
   std::int64_t fin_seq() const { return app_end_; }
   bool fin_queued() const { return fin_pending_; }
 
@@ -151,6 +154,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   sim::Simulator& sim_;
   net::Endpoint local_;
   net::Endpoint remote_;
+  std::string trace_key_;  // empty until a trace point needs it
   TcpParams params_;
   ConnState state_ = ConnState::kClosed;
   ConnStats stats_;

@@ -10,7 +10,27 @@ namespace {
 
 constexpr double kEps = 1e-6;
 
-std::string flow_id(const TraceEvent& ev) { return ev.node + "|" + ev.key; }
+// The state `map` keeps under `name`, created on first use; a name already
+// present is found by view, without allocating.
+template <typename Map>
+typename Map::mapped_type& entry(Map& map, std::string_view name) {
+  auto it = map.find(name);
+  if (it == map.end()) it = map.try_emplace(std::string{name}).first;
+  return it->second;
+}
+
+// True when two kinds name the same fields in the same slots, so one set of
+// compile-time slots reads events of either kind.
+constexpr bool same_row(Kind a, Kind b) {
+  for (std::size_t i = 0; i < kMaxFields; ++i) {
+    const char* x = schema(a).fields[i];
+    const char* y = schema(b).fields[i];
+    if ((x == nullptr) != (y == nullptr) || (x != nullptr && std::string_view{x} != y)) {
+      return false;
+    }
+  }
+  return true;
+}
 
 std::string num(double v) {
   char buf[32];
@@ -96,19 +116,15 @@ void InvariantChecker::index_rule(std::initializer_list<Kind> kinds, std::size_t
   }
 }
 
+
 void InvariantChecker::violate(const TraceEvent& ev, std::string rule, std::string detail) {
   violations_.push_back(Violation{ev.time, std::move(rule), std::move(detail)});
 }
 
-void InvariantChecker::reset_scenario() {
-  flows_.clear();
-  detectors_.clear();
-  faults_.clear();
-  recovery_.clear();
-  pex_.clear();
-  cells_.clear();
-  enforce_.clear();
-  lifecycle_.clear();
+void InvariantChecker::reset_scenario() { nodes_.clear(); }
+
+InvariantChecker::NodeState& InvariantChecker::node(const TraceEvent& ev) {
+  return entry(nodes_, ev.node);
 }
 
 void InvariantChecker::check(const TraceEvent& ev) {
@@ -132,18 +148,20 @@ void InvariantChecker::check(const TraceEvent& ev) {
 }
 
 void InvariantChecker::rule_tcp_cwnd(const TraceEvent& ev) {
-  FlowState& flow = flows_[flow_id(ev)];
-  const double cwnd = ev.field("cwnd");
-  const double mss = ev.field("mss");
+  constexpr Kind k = Kind::kTcpCwnd;
+  FlowState& flow = entry(node(ev).flows, ev.key);
+  const double cwnd = ev.value(slot_of(k, "cwnd"));
+  const double mss = ev.value(slot_of(k, "mss"));
   if (mss > 0.0 && cwnd < mss - kEps) {
     violate(ev, "tcp-cwnd-floor",
-            ev.key + " cwnd " + num(cwnd) + " below 1 MSS (" + num(mss) + ")");
+            std::string{ev.key} + " cwnd " + num(cwnd) + " below 1 MSS (" + num(mss) + ")");
   }
   if (flow.loss_pending && ev.aux == "exit-recovery") {
     if (cwnd > flow.exit_bound + kEps) {
       violate(ev, "tcp-loss-response",
-              ev.key + " exits recovery at cwnd " + num(cwnd) + " > ssthresh bound " +
-                  num(flow.exit_bound) + " (pre-loss cwnd " + num(flow.cwnd_at_loss) + ")");
+              std::string{ev.key} + " exits recovery at cwnd " + num(cwnd) +
+                  " > ssthresh bound " + num(flow.exit_bound) + " (pre-loss cwnd " +
+                  num(flow.cwnd_at_loss) + ")");
     }
     flow.loss_pending = false;
   }
@@ -151,58 +169,65 @@ void InvariantChecker::rule_tcp_cwnd(const TraceEvent& ev) {
 }
 
 void InvariantChecker::rule_tcp_fast_retransmit(const TraceEvent& ev) {
-  FlowState& flow = flows_[flow_id(ev)];
-  flow.cwnd_at_loss = ev.field("cwnd_before", flow.last_cwnd);
-  const double mss = ev.field("mss");
-  const double flight = ev.field("flight", flow.cwnd_at_loss);
+  constexpr Kind k = Kind::kTcpFastRetransmit;
+  FlowState& flow = entry(node(ev).flows, ev.key);
+  flow.cwnd_at_loss = ev.value(slot_of(k, "cwnd_before"), flow.last_cwnd);
+  const double mss = ev.value(slot_of(k, "mss"));
+  const double flight = ev.value(slot_of(k, "flight"), flow.cwnd_at_loss);
   flow.exit_bound = std::max(flight / 2.0, 2.0 * mss);
   flow.loss_pending = flow.exit_bound > 0.0;
 }
 
 void InvariantChecker::rule_tcp_rto(const TraceEvent& ev) {
-  flows_[flow_id(ev)].loss_pending = false;
+  entry(node(ev).flows, ev.key).loss_pending = false;
 }
 
 void InvariantChecker::rule_am_decouple(const TraceEvent& ev) {
-  const double estimate = ev.field("estimate");
-  const double gamma = ev.field("gamma");
+  constexpr Kind k = Kind::kAmDecouple;
+  const double estimate = ev.value(slot_of(k, "estimate"));
+  const double gamma = ev.value(slot_of(k, "gamma"));
   if (gamma > 0.0 && estimate >= gamma) {
     violate(ev, "am-decouple-young",
-            ev.key + " decoupled an ACK at estimate " + num(estimate) + " >= gamma " +
-                num(gamma));
+            std::string{ev.key} + " decoupled an ACK at estimate " + num(estimate) +
+                " >= gamma " + num(gamma));
   }
 }
 
 void InvariantChecker::rule_am_dupack(const TraceEvent& ev) {
-  const double seen = ev.field("seen");
-  const double dropped = ev.field("dropped");
-  const double modulus = ev.field("modulus");
+  // Drops and passes share one row, so one set of slots reads both.
+  constexpr Kind k = Kind::kAmDupackDrop;
+  static_assert(same_row(k, Kind::kAmDupackPass));
+  const double seen = ev.value(slot_of(k, "seen"));
+  const double dropped = ev.value(slot_of(k, "dropped"));
+  const double modulus = ev.value(slot_of(k, "modulus"));
   if (modulus > 0.0 && dropped * modulus > seen + kEps) {
     violate(ev, "am-dupack-budget",
-            ev.key + " dropped " + num(dropped) + " of " + num(seen) +
+            std::string{ev.key} + " dropped " + num(dropped) + " of " + num(seen) +
                 " DUPACKs, over the 1-in-" + num(modulus) + " budget");
   }
 }
 
 void InvariantChecker::rule_lihd(const TraceEvent& ev) {
-  const double limit = ev.field("limit");
-  const double lo = ev.field("min");
-  const double hi = ev.field("max");
+  constexpr Kind k = Kind::kLihdStep;
+  const double limit = ev.value(slot_of(k, "limit"));
+  const double lo = ev.value(slot_of(k, "min"));
+  const double hi = ev.value(slot_of(k, "max"));
   if (limit < lo - kEps || limit > hi + kEps) {
     violate(ev, "lihd-bounds",
-            ev.node + " upload limit " + num(limit) + " outside [" + num(lo) + ", " +
-                num(hi) + "]");
+            std::string{ev.node} + " upload limit " + num(limit) + " outside [" + num(lo) +
+                ", " + num(hi) + "]");
   }
 }
 
 void InvariantChecker::rule_mob_detect(const TraceEvent& ev) {
-  DetectState& det = detectors_[ev.node];
-  const double confirm = ev.field("confirm_samples");
-  const double interval_us = ev.field("interval_us");
+  constexpr Kind k = Kind::kMobDetect;
+  DetectState& det = node(ev).detect;
+  const double confirm = ev.value(slot_of(k, "confirm_samples"));
+  const double interval_us = ev.value(slot_of(k, "interval_us"));
   const auto min_gap = static_cast<sim::SimTime>(confirm * interval_us);
   if (det.last_detect >= 0 && min_gap > 0 && ev.time - det.last_detect < min_gap) {
     violate(ev, "mob-single-detect",
-            ev.node + " re-detected mobility after " +
+            std::string{ev.node} + " re-detected mobility after " +
                 num(sim::to_seconds(ev.time - det.last_detect)) +
                 " s, inside the confirm window of " + num(sim::to_seconds(min_gap)) + " s");
   }
@@ -213,8 +238,8 @@ void InvariantChecker::rule_announce(const TraceEvent& ev) {
   // A successful announce resets the retry chain; the next retry may
   // legitimately start from the initial base again. The failure streak
   // mirrors the client's own darkness counter for the bootstrap rule.
-  RecoveryState& rec = recovery_[ev.node];
-  if (ev.field("ok") > 0.5) {
+  RecoveryState& rec = node(ev).recovery;
+  if (ev.value(slot_of(Kind::kBtAnnounce, "ok")) > 0.5) {
     rec.backoff = BackoffState{};
     rec.announce_streak = 0;
   } else {
@@ -223,81 +248,84 @@ void InvariantChecker::rule_announce(const TraceEvent& ev) {
 }
 
 void InvariantChecker::rule_announce_retry(const TraceEvent& ev) {
-  BackoffState& backoff = recovery_[ev.node].backoff;
-  const double base = ev.field("base_s");
-  const double delay = ev.field("delay_s");
-  const double cap = ev.field("cap_s");
-  const double jitter = ev.field("jitter");
+  constexpr Kind k = Kind::kBtAnnounceRetry;
+  BackoffState& backoff = node(ev).recovery.backoff;
+  const double base = ev.value(slot_of(k, "base_s"));
+  const double delay = ev.value(slot_of(k, "delay_s"));
+  const double cap = ev.value(slot_of(k, "cap_s"));
+  const double jitter = ev.value(slot_of(k, "jitter"));
   if (backoff.last_base >= 0.0 && base < backoff.last_base - kEps) {
     violate(ev, "announce-backoff",
-            ev.node + " retry base " + num(base) + " s shrank from " +
+            std::string{ev.node} + " retry base " + num(base) + " s shrank from " +
                 num(backoff.last_base) + " s without a successful announce");
   }
   if (cap > 0.0 && base > cap + kEps) {
     violate(ev, "announce-backoff",
-            ev.node + " retry base " + num(base) + " s exceeds cap " + num(cap) + " s");
+            std::string{ev.node} + " retry base " + num(base) + " s exceeds cap " + num(cap) +
+                " s");
   }
   if (std::abs(delay - base) > jitter * base + kEps) {
     violate(ev, "announce-backoff",
-            ev.node + " retry delay " + num(delay) + " s outside jitter band " +
+            std::string{ev.node} + " retry delay " + num(delay) + " s outside jitter band " +
                 num(jitter) + " of base " + num(base) + " s");
   }
   backoff.last_base = base;
 }
 
 void InvariantChecker::rule_piece_corrupt(const TraceEvent& ev) {
-  RecoveryState& rec = recovery_[ev.node];
-  const int piece = static_cast<int>(ev.field("piece", -1.0));
+  RecoveryState& rec = node(ev).recovery;
+  const int piece = static_cast<int>(ev.value(slot_of(Kind::kBtPieceCorrupt, "piece"), -1.0));
   if (rec.corrupt_pending[piece]) {
     violate(ev, "corrupt-reset",
-            ev.node + " re-detected corrupt piece " + num(piece) +
+            std::string{ev.node} + " re-detected corrupt piece " + num(piece) +
                 " before the previous detection was reset");
   }
   rec.corrupt_pending[piece] = true;
 }
 
 void InvariantChecker::rule_piece_reset(const TraceEvent& ev) {
-  RecoveryState& rec = recovery_[ev.node];
-  const int piece = static_cast<int>(ev.field("piece", -1.0));
+  RecoveryState& rec = node(ev).recovery;
+  const int piece = static_cast<int>(ev.value(slot_of(Kind::kBtPieceReset, "piece"), -1.0));
   auto it = rec.corrupt_pending.find(piece);
   if (it == rec.corrupt_pending.end() || !it->second) {
     violate(ev, "corrupt-reset",
-            ev.node + " reset piece " + num(piece) + " without a pending detection");
+            std::string{ev.node} + " reset piece " + num(piece) + " without a pending detection");
     return;
   }
   it->second = false;
 }
 
 void InvariantChecker::rule_peer_strike(const TraceEvent& ev) {
-  const double strikes = ev.field("strikes");
-  const double threshold = ev.field("threshold");
+  constexpr Kind k = Kind::kBtPeerStrike;
+  const double strikes = ev.value(slot_of(k, "strikes"));
+  const double threshold = ev.value(slot_of(k, "threshold"));
   if (threshold > 0.0 && strikes > threshold + kEps) {
     violate(ev, "peer-ban",
-            ev.node + " struck peer " + num(ev.field("peer_id")) + " " + num(strikes) +
-                " times, past the ban threshold of " + num(threshold));
+            std::string{ev.node} + " struck peer " + num(ev.value(slot_of(k, "peer_id"))) +
+                " " + num(strikes) + " times, past the ban threshold of " + num(threshold));
   }
 }
 
 void InvariantChecker::rule_peer_ban(const TraceEvent& ev) {
-  recovery_[ev.node].banned.insert(static_cast<std::uint64_t>(ev.field("peer_id")));
+  node(ev).recovery.banned.insert(
+      static_cast<std::uint64_t>(ev.value(slot_of(Kind::kBtPeerBan, "peer_id"))));
 }
 
 void InvariantChecker::rule_request(const TraceEvent& ev) {
-  const auto peer = static_cast<std::uint64_t>(ev.field("peer_id"));
-  const RecoveryState& rec = recovery_[ev.node];
-  if (rec.banned.count(peer) > 0) {
+  const double peer_id = ev.value(slot_of(Kind::kBtRequest, "peer_id"));
+  if (node(ev).recovery.banned.count(static_cast<std::uint64_t>(peer_id)) > 0) {
     violate(ev, "banned-request",
-            ev.node + " requested a block from banned peer " + num(ev.field("peer_id")));
+            std::string{ev.node} + " requested a block from banned peer " + num(peer_id));
   }
 }
 
 void InvariantChecker::rule_pex_send(const TraceEvent& ev) {
-  PexState& pex = pex_[flow_id(ev)];
-  const double interval_s = ev.field("interval_s");
+  PexState& pex = entry(node(ev).pex, ev.key);
+  const double interval_s = ev.value(slot_of(Kind::kBtPexSend, "interval_s"));
   const auto min_gap = sim::seconds(std::max(0.0, interval_s - kEps));
   if (pex.last_send >= 0 && min_gap > 0 && ev.time - pex.last_send < min_gap) {
     violate(ev, "pex-rate-limit",
-            ev.node + " gossiped to " + ev.key + " after " +
+            std::string{ev.node} + " gossiped to " + std::string{ev.key} + " after " +
                 num(sim::to_seconds(ev.time - pex.last_send)) +
                 " s, inside the advertised interval of " + num(interval_s) + " s");
   }
@@ -305,113 +333,121 @@ void InvariantChecker::rule_pex_send(const TraceEvent& ev) {
 }
 
 void InvariantChecker::rule_pex_entry(const TraceEvent& ev) {
-  const double ep = ev.field("ep");
-  const double self_ep = ev.field("self_ep");
+  constexpr Kind k = Kind::kBtPexEntry;
+  const double ep = ev.value(slot_of(k, "ep"));
+  const double self_ep = ev.value(slot_of(k, "self_ep"));
   if (std::abs(ep - self_ep) < 0.5) {  // packed endpoints are exact integers
-    violate(ev, "pex-no-self", ev.node + " advertised its own listen endpoint to " + ev.key);
+    violate(ev, "pex-no-self",
+            std::string{ev.node} + " advertised its own listen endpoint to " +
+                std::string{ev.key});
   }
-  const auto peer = static_cast<std::uint64_t>(ev.field("peer_id"));
-  if (recovery_[ev.node].banned.count(peer) > 0) {
+  const double peer_id = ev.value(slot_of(k, "peer_id"));
+  if (node(ev).recovery.banned.count(static_cast<std::uint64_t>(peer_id)) > 0) {
     violate(ev, "pex-no-banned",
-            ev.node + " advertised banned peer " + num(ev.field("peer_id")) + " to " +
-                ev.key);
+            std::string{ev.node} + " advertised banned peer " + num(peer_id) + " to " +
+                std::string{ev.key});
   }
 }
 
 void InvariantChecker::rule_failover(const TraceEvent& ev) {
-  const auto from = static_cast<int>(ev.field("from", -1.0));
-  const auto to = static_cast<int>(ev.field("to", -1.0));
-  const auto trackers = static_cast<int>(ev.field("trackers"));
+  constexpr Kind k = Kind::kBtTrackerFailover;
+  const auto from = static_cast<int>(ev.value(slot_of(k, "from"), -1.0));
+  const auto to = static_cast<int>(ev.value(slot_of(k, "to"), -1.0));
+  const auto trackers = static_cast<int>(ev.value(slot_of(k, "trackers")));
   if (ev.aux == "failover") {
+    const double from_tier = ev.value(slot_of(k, "from_tier"));
+    const double to_tier = ev.value(slot_of(k, "to_tier"));
     if (trackers > 0 && to != (from + 1) % trackers) {
       violate(ev, "failover-tier-order",
-              ev.node + " failed over from slot " + num(from) + " to slot " + num(to) +
-                  ", skipping the tier-list order (size " + num(trackers) + ")");
-    } else if (to != 0 && ev.field("to_tier") < ev.field("from_tier") - kEps) {
+              std::string{ev.node} + " failed over from slot " + num(from) + " to slot " +
+                  num(to) + ", skipping the tier-list order (size " + num(trackers) + ")");
+    } else if (to != 0 && to_tier < from_tier - kEps) {
       violate(ev, "failover-tier-order",
-              ev.node + " failed over from tier " + num(ev.field("from_tier")) +
-                  " down to tier " + num(ev.field("to_tier")) +
-                  " without wrapping to the primary");
+              std::string{ev.node} + " failed over from tier " + num(from_tier) +
+                  " down to tier " + num(to_tier) + " without wrapping to the primary");
     }
   } else if (ev.aux == "failback" && to != 0) {
     violate(ev, "failover-tier-order",
-            ev.node + " failed back to slot " + num(to) + " instead of the primary");
+            std::string{ev.node} + " failed back to slot " + num(to) +
+                " instead of the primary");
   }
 }
 
 void InvariantChecker::rule_bootstrap(const TraceEvent& ev) {
-  const auto trackers = static_cast<int>(ev.field("trackers"));
-  const int streak = recovery_[ev.node].announce_streak;
+  const auto trackers = static_cast<int>(ev.value(slot_of(Kind::kBtBootstrap, "trackers")));
+  const int streak = node(ev).recovery.announce_streak;
   if (streak < trackers) {
     violate(ev, "bootstrap-only-when-dark",
-            ev.node + " dialed the bootstrap cache after only " + num(streak) +
-                " consecutive announce failures across " + num(trackers) +
-                " tracker tiers");
+            std::string{ev.node} + " dialed the bootstrap cache after only " + num(streak) +
+                " consecutive announce failures across " + num(trackers) + " tracker tiers");
   }
 }
 
 void InvariantChecker::rule_fault_start(const TraceEvent& ev) {
   // One bracket per (target, fault kind); aux carries the kind name.
-  ++faults_[ev.node + "|" + ev.aux].open;
+  ++entry(node(ev).faults, ev.aux).open;
 }
 
 void InvariantChecker::rule_fault_end(const TraceEvent& ev) {
-  FaultState& fault = faults_[ev.node + "|" + ev.aux];
+  FaultState& fault = entry(node(ev).faults, ev.aux);
   if (fault.open <= 0) {
     violate(ev, "fault-bracket",
-            ev.aux + " on " + ev.node + " ended without a matching start");
+            std::string{ev.aux} + " on " + std::string{ev.node} +
+                " ended without a matching start");
     return;
   }
   --fault.open;
 }
 
 void InvariantChecker::rule_cell_attach(const TraceEvent& ev) {
-  CellState& st = cells_[ev.node];
-  const int cell = static_cast<int>(ev.field("cell", -1.0));
+  CellState& st = node(ev).cell;
+  const int cell = static_cast<int>(ev.value(slot_of(Kind::kCellAttach, "cell"), -1.0));
   if (st.attached >= 0) {
     violate(ev, "cell-single-attach",
-            ev.node + " attached to cell " + num(cell) + " while still attached to cell " +
-                num(st.attached));
+            std::string{ev.node} + " attached to cell " + num(cell) +
+                " while still attached to cell " + num(st.attached));
   }
   st.attached = cell;
 }
 
 void InvariantChecker::rule_cell_detach(const TraceEvent& ev) {
-  CellState& st = cells_[ev.node];
-  const int cell = static_cast<int>(ev.field("cell", -1.0));
+  CellState& st = node(ev).cell;
+  const int cell = static_cast<int>(ev.value(slot_of(Kind::kCellDetach, "cell"), -1.0));
   if (st.attached < 0) {
     violate(ev, "cell-single-attach",
-            ev.node + " detached from cell " + num(cell) + " while not attached anywhere");
+            std::string{ev.node} + " detached from cell " + num(cell) +
+                " while not attached anywhere");
   } else if (st.attached != cell) {
     violate(ev, "cell-single-attach",
-            ev.node + " detached from cell " + num(cell) + " but was attached to cell " +
-                num(st.attached));
+            std::string{ev.node} + " detached from cell " + num(cell) +
+                " but was attached to cell " + num(st.attached));
   }
   st.attached = -1;
 }
 
 void InvariantChecker::rule_cell_serve(const TraceEvent& ev) {
-  const int cell = static_cast<int>(ev.field("cell", -1.0));
-  if (ev.field("qlen") < 1.0 - kEps) {
+  constexpr Kind k = Kind::kCellServe;
+  const int cell = static_cast<int>(ev.value(slot_of(k, "cell"), -1.0));
+  if (ev.value(slot_of(k, "qlen")) < 1.0 - kEps) {
     violate(ev, "cell-serve-backlogged",
-            "cell " + num(cell) + " scheduler (" + ev.aux + ") picked " + ev.node +
-                " with no downlink backlog");
+            "cell " + num(cell) + " scheduler (" + std::string{ev.aux} + ") picked " +
+                std::string{ev.node} + " with no downlink backlog");
   }
-  const CellState& st = cells_[ev.node];
+  const CellState& st = node(ev).cell;
   if (st.attached != cell) {
     violate(ev, "cell-serve-backlogged",
-            "cell " + num(cell) + " served " + ev.node + " which is attached to cell " +
-                num(st.attached));
+            "cell " + num(cell) + " served " + std::string{ev.node} +
+                " which is attached to cell " + num(st.attached));
   }
 }
 
 void InvariantChecker::rule_cell_deliver(const TraceEvent& ev) {
-  const int cell = static_cast<int>(ev.field("cell", -1.0));
-  const CellState& st = cells_[ev.node];
+  const int cell = static_cast<int>(ev.value(slot_of(Kind::kCellDeliver, "cell"), -1.0));
+  const CellState& st = node(ev).cell;
   if (st.attached != cell) {
     violate(ev, "cell-no-detached-delivery",
-            "cell " + num(cell) + " delivered to " + ev.node + " which is attached to cell " +
-                num(st.attached));
+            "cell " + num(cell) + " delivered to " + std::string{ev.node} +
+                " which is attached to cell " + num(st.attached));
   }
 }
 
@@ -420,53 +456,60 @@ void InvariantChecker::rule_enforce_detect(const TraceEvent& ev) {
   // limit an enforced run can never exceed (the ban ends the evidence stream
   // within a couple of threshold-steps). A count past the limit means the
   // strike-and-ban path is not acting on detections — the signature of
-  // unsafe_no_enforcement.
-  const double count = ev.field("count");
-  const double limit = ev.field("limit");
+  // unsafe_no_enforcement. The five detection kinds share one row.
+  constexpr Kind k = Kind::kBtFloodDetect;
+  static_assert(same_row(k, Kind::kBtMalformed) && same_row(k, Kind::kBtLiarDetect) &&
+                same_row(k, Kind::kBtStallAudit) && same_row(k, Kind::kBtPexSpam));
+  const double count = ev.value(slot_of(k, "count"));
+  const double limit = ev.value(slot_of(k, "limit"));
   if (limit <= 0.0 || count <= limit + kEps) return;
   const char* rule = ev.kind == Kind::kBtFloodDetect  ? "enforce-flood-cap"
                      : ev.kind == Kind::kBtMalformed ? "enforce-malformed"
                                                      : "enforce-liar";
   violate(ev, rule,
-          ev.node + " " + ev.aux + " evidence against peer " + num(ev.field("peer_id")) +
-              " reached " + num(count) + ", past the enforcement limit of " + num(limit));
+          std::string{ev.node} + " " + std::string{ev.aux} + " evidence against peer " +
+              num(ev.value(slot_of(k, "peer_id"))) + " reached " + num(count) +
+              ", past the enforcement limit of " + num(limit));
 }
 
 void InvariantChecker::rule_enforce_grace(const TraceEvent& ev) {
-  EnforceState& st = enforce_[ev.node];
-  const auto peer = static_cast<std::uint64_t>(ev.field("peer_id"));
+  EnforceState& st = node(ev).enforce;
   if (ev.kind == Kind::kBtGrace) {
-    GraceWindow& window = st.grace[peer];
+    constexpr Kind k = Kind::kBtGrace;
+    GraceWindow& window = st.grace[static_cast<std::uint64_t>(ev.value(slot_of(k, "peer_id")))];
     window.granted_at = ev.time;
-    window.until_s = ev.field("until_s");
+    window.until_s = ev.value(slot_of(k, "until_s"));
     return;
   }
   // A strike for the mobility-shaped offenses must not land inside a grace
   // window granted strictly earlier (same-tick grant + deferred strike is a
   // benign race: the client checked the grace before the grant existed).
   if (ev.aux != "enforce-stall" && ev.aux != "enforce-liar") return;
-  auto it = st.grace.find(peer);
+  const double peer_id = ev.value(slot_of(Kind::kBtPeerStrike, "peer_id"));
+  auto it = st.grace.find(static_cast<std::uint64_t>(peer_id));
   if (it == st.grace.end()) return;
   const GraceWindow& window = it->second;
   if (window.granted_at < ev.time && sim::to_seconds(ev.time) < window.until_s - kEps) {
     violate(ev, "enforce-mobile-grace",
-            ev.node + " struck peer " + num(ev.field("peer_id")) + " for " + ev.aux +
-                " inside its mobility grace window (until " + num(window.until_s) + " s)");
+            std::string{ev.node} + " struck peer " + num(peer_id) + " for " +
+                std::string{ev.aux} + " inside its mobility grace window (until " +
+                num(window.until_s) + " s)");
   }
 }
 
 void InvariantChecker::rule_suspend(const TraceEvent& ev) {
-  LifecycleState& st = lifecycle_[ev.node];
+  LifecycleState& st = node(ev).lifecycle;
   if (ev.aux == "begin") {
     st.suspended = true;
-    st.suspend_peer_id = ev.field("peer_id", -1.0);
+    st.suspend_peer_id = ev.value(slot_of(Kind::kBtSuspend, "peer_id"), -1.0);
   }
   // aux == "suspended" (the snapshot ack) changes nothing: the bracket opened
   // at "begin" and the node was already required to be silent.
 }
 
 void InvariantChecker::rule_resume(const TraceEvent& ev) {
-  LifecycleState& st = lifecycle_[ev.node];
+  constexpr Kind k = Kind::kBtResume;
+  LifecycleState& st = node(ev).lifecycle;
   if (ev.aux == "begin") return;  // still inside the bracket until resumed
   if (ev.aux == "cold") {
     // A cold restart legitimately mints a fresh identity; drop expectations.
@@ -475,46 +518,47 @@ void InvariantChecker::rule_resume(const TraceEvent& ev) {
     return;
   }
   if (ev.aux == "restored") {
-    const double snapshot = ev.field("snapshot");
-    const double restored = ev.field("restored");
-    const double dropped = ev.field("dropped");
+    const double snapshot = ev.value(slot_of(k, "snapshot"));
+    const double restored = ev.value(slot_of(k, "restored"));
+    const double dropped = ev.value(slot_of(k, "dropped"));
     if (restored > snapshot + kEps || std::abs(restored - (snapshot - dropped)) > kEps) {
       violate(ev, "resume-bitfield-subset",
-              ev.node + " restored " + num(restored) + " pieces from a snapshot of " +
-                  num(snapshot) + " with " + num(dropped) + " dropped");
+              std::string{ev.node} + " restored " + num(restored) +
+                  " pieces from a snapshot of " + num(snapshot) + " with " + num(dropped) +
+                  " dropped");
     }
-    const double seq = ev.field("seq", -1.0);
+    const double seq = ev.value(slot_of(k, "seq"), -1.0);
     if (st.last_load_seq > -1.5 && st.last_load_seq < -0.5) {
       violate(ev, "snapshot-checksum-valid",
-              ev.node + " restored a snapshot although the journal load found no "
-                        "checksum-valid record");
+              std::string{ev.node} + " restored a snapshot although the journal load found "
+                                     "no checksum-valid record");
     } else if (st.last_load_seq > -1.5 && std::abs(seq - st.last_load_seq) > kEps) {
       violate(ev, "snapshot-checksum-valid",
-              ev.node + " restored journal record seq " + num(seq) +
+              std::string{ev.node} + " restored journal record seq " + num(seq) +
                   " but the journal walk validated seq " + num(st.last_load_seq));
     }
   }
   // "resumed" and "restored" both close the bracket and must carry the
   // suspended identity forward.
-  const double peer = ev.field("peer_id", -1.0);
+  const double peer = ev.value(slot_of(k, "peer_id"), -1.0);
   if (st.suspended && st.suspend_peer_id >= 0.0 &&
       std::abs(peer - st.suspend_peer_id) > kEps) {
     violate(ev, "identity-retained-across-resume",
-            ev.node + " resumed as peer " + num(peer) + " but suspended as peer " +
+            std::string{ev.node} + " resumed as peer " + num(peer) + " but suspended as peer " +
                 num(st.suspend_peer_id));
   }
   st.suspended = false;
 }
 
 void InvariantChecker::rule_store_load(const TraceEvent& ev) {
-  lifecycle_[ev.node].last_load_seq = ev.field("seq", -1.0);
+  node(ev).lifecycle.last_load_seq = ev.value(slot_of(Kind::kStoreLoad, "seq"), -1.0);
 }
 
 void InvariantChecker::rule_suspended_silence(const TraceEvent& ev) {
-  const auto it = lifecycle_.find(ev.node);
-  if (it == lifecycle_.end() || !it->second.suspended) return;
+  const auto it = nodes_.find(ev.node);
+  if (it == nodes_.end() || !it->second.lifecycle.suspended) return;
   violate(ev, "no-serve-while-suspended",
-          ev.node + " emitted " + to_string(ev.kind) + " while suspended");
+          std::string{ev.node} + " emitted " + to_string(ev.kind) + " while suspended");
 }
 
 }  // namespace wp2p::trace

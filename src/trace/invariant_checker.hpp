@@ -130,6 +130,7 @@
 #include <functional>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -178,6 +179,10 @@ class InvariantChecker final : public Sink {
   std::uint64_t rule_dispatches() const { return dispatches_; }
 
  private:
+  // State keyed by the checker's own copies of names, searched by view.
+  template <typename T>
+  using NameMap = std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
   struct FlowState {
     double last_cwnd = -1.0;     // most recent tcp.cwnd value
     double cwnd_at_loss = -1.0;  // cwnd when the last fast retransmit fired
@@ -218,6 +223,17 @@ class InvariantChecker final : public Sink {
     double last_load_seq = -2.0;    // winning seq of the last journal load
                                     // (-1 = load found nothing, -2 = no load)
   };
+  // Everything the rules remember about one node (an event's `node`).
+  struct NodeState {
+    NameMap<FlowState> flows;    // by TCP flow key
+    NameMap<PexState> pex;       // by recipient endpoint
+    NameMap<FaultState> faults;  // by fault kind (the events' aux)
+    DetectState detect;
+    RecoveryState recovery;
+    CellState cell;
+    EnforceState enforce;
+    LifecycleState lifecycle;
+  };
 
   using MemberRule = void (InvariantChecker::*)(const TraceEvent&);
   struct Rule {
@@ -228,6 +244,7 @@ class InvariantChecker final : public Sink {
 
   void violate(const TraceEvent& ev, std::string rule, std::string detail);
   void reset_scenario();
+  NodeState& node(const TraceEvent& ev);
   void add_rule(std::initializer_list<Kind> kinds, MemberRule member, bool counts_match);
   void index_rule(std::initializer_list<Kind> kinds, std::size_t rule_idx);
 
@@ -263,14 +280,7 @@ class InvariantChecker final : public Sink {
   void rule_store_load(const TraceEvent& ev);
   void rule_suspended_silence(const TraceEvent& ev);
 
-  std::unordered_map<std::string, FlowState> flows_;
-  std::unordered_map<std::string, DetectState> detectors_;
-  std::unordered_map<std::string, FaultState> faults_;
-  std::unordered_map<std::string, RecoveryState> recovery_;
-  std::unordered_map<std::string, PexState> pex_;  // node|recipient endpoint
-  std::unordered_map<std::string, CellState> cells_;  // station -> attachment
-  std::unordered_map<std::string, EnforceState> enforce_;  // node -> grace map
-  std::unordered_map<std::string, LifecycleState> lifecycle_;  // node -> state
+  NameMap<NodeState> nodes_;
   std::vector<Rule> rules_;
   std::array<std::vector<std::uint16_t>, kNumKinds> index_;  // kind -> rule ids
   std::vector<Violation> violations_;

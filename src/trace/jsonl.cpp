@@ -1,44 +1,119 @@
 #include "trace/jsonl.hpp"
 
+#include <algorithm>
 #include <cctype>
-#include <cstdlib>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 
 namespace wp2p::trace {
 
 namespace {
 
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
+// The writer's buffer: lines go to the file in chunks of at most this size.
+constexpr std::size_t kWriteChunk = std::size_t{1} << 16;
+
+// Longest text a number can take: "-1.2345678901234567e-308" is 24 bytes.
+constexpr std::size_t kMaxNumber = 32;
+// Room for the fixed members: the punctuation, the longest time, component
+// and kind, and the quotes around the three names.
+constexpr std::size_t kLineBase = 128;
+// Room for the "f" member of the widest row.
+constexpr std::size_t kFieldsMax = [] {
+  std::size_t widest = 0;
+  for (const KindSchema& row : kKinds) {
+    std::size_t bytes = 8;
+    for (const char* name : row.fields) {
+      if (name != nullptr) bytes += std::char_traits<char>::length(name) + 4 + kMaxNumber;
     }
+    widest = std::max(widest, bytes);
   }
-  out.push_back('"');
+  return widest;
+}();
+
+// Most bytes write_line can write for `ev`: every name byte may escape to
+// six ("\u00XX").
+std::size_t max_line_size(const TraceEvent& ev) {
+  return kLineBase + 6 * (ev.node.size() + ev.key.size() + ev.aux.size()) + kFieldsMax;
 }
 
-void append_number(std::string& out, double v) {
-  char buf[32];
-  // %.17g round-trips every double; trim the common integer case for size.
-  if (v == static_cast<double>(static_cast<long long>(v)) && std::abs(v) < 1e15) {
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
+char* put(char* p, std::string_view s) {
+  std::memcpy(p, s.data(), s.size());
+  return p + s.size();
+}
+
+char* put_escaped(char* p, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *p++ = '"';
+  for (const char c : s) {
+    if (static_cast<unsigned char>(c) >= 0x20 && c != '"' && c != '\\') {
+      *p++ = c;
+      continue;
+    }
+    switch (c) {
+      case '"': p = put(p, "\\\""); break;
+      case '\\': p = put(p, "\\\\"); break;
+      case '\n': p = put(p, "\\n"); break;
+      case '\t': p = put(p, "\\t"); break;
+      case '\r': p = put(p, "\\r"); break;
+      default:
+        p = put(p, "\\u00");
+        *p++ = kHex[static_cast<unsigned char>(c) >> 4];
+        *p++ = kHex[static_cast<unsigned char>(c) & 0xf];
+    }
   }
-  out += buf;
+  *p++ = '"';
+  return p;
+}
+
+// %.17g round-trips every double; integral values below 1e15 print as
+// integers for size. The range test comes first, so NaN and huge values never
+// reach the integer cast.
+char* put_number(char* p, double v) {
+  if (std::abs(v) < 1e15 && v == std::trunc(v)) {
+    return std::to_chars(p, p + kMaxNumber, static_cast<long long>(v)).ptr;
+  }
+  return std::to_chars(p, p + kMaxNumber, v, std::chars_format::general, 17).ptr;
+}
+
+// Writes one event's line, without the newline, at `p`, which has room for
+// max_line_size(ev) bytes; returns the end of the line.
+char* write_line(char* p, const TraceEvent& ev) {
+  const KindSchema& row = schema(ev.kind);
+  p = put(p, "{\"t\":");
+  p = std::to_chars(p, p + kMaxNumber, ev.time).ptr;
+  p = put(p, ",\"c\":\"");
+  p = put(p, to_string(ev.component));
+  p = put(p, "\",\"k\":\"");
+  p = put(p, row.name);
+  p = put(p, "\",\"n\":");
+  p = put_escaped(p, ev.node);
+  if (!ev.key.empty()) {
+    p = put(p, ",\"key\":");
+    p = put_escaped(p, ev.key);
+  }
+  if (!ev.aux.empty()) {
+    p = put(p, ",\"why\":");
+    p = put_escaped(p, ev.aux);
+  }
+  if (ev.present != 0) {
+    p = put(p, ",\"f\":");
+    char sep = '{';
+    for (int slot = 0; slot < kMaxFields; ++slot) {
+      if (!ev.has(slot)) continue;
+      *p++ = sep;
+      sep = ',';
+      *p++ = '"';
+      p = put(p, row.fields[static_cast<std::size_t>(slot)]);
+      p = put(p, "\":");
+      p = put_number(p, ev.values[static_cast<std::size_t>(slot)]);
+    }
+    *p++ = '}';
+  }
+  *p++ = '}';
+  return p;
 }
 
 // Minimal cursor-based parser for the flat object shape we write. It is not
@@ -106,111 +181,116 @@ struct Cursor {
     return false;  // unterminated
   }
 
-  bool parse_number(double& out) {
+  // A timestamp: decimal digits only, at most the largest SimTime.
+  bool parse_time(sim::SimTime& out) {
     skip_ws();
-    const char* start = text.data() + pos;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    pos += static_cast<std::size_t>(end - start);
+    const char* first = text.data() + pos;
+    std::uint64_t value = 0;
+    const auto [end, ec] = std::from_chars(first, text.data() + text.size(), value);
+    if (ec != std::errc{} ||
+        value > static_cast<std::uint64_t>(std::numeric_limits<sim::SimTime>::max())) {
+      return false;
+    }
+    pos += static_cast<std::size_t>(end - first);
+    out = static_cast<sim::SimTime>(value);
+    return true;
+  }
+
+  // A field value: a finite decimal number.
+  bool parse_finite(double& out) {
+    skip_ws();
+    const char* first = text.data() + pos;
+    const auto [end, ec] = std::from_chars(first, text.data() + text.size(), out);
+    if (ec != std::errc{} || !std::isfinite(out)) return false;
+    pos += static_cast<std::size_t>(end - first);
     return true;
   }
 };
 
 }  // namespace
 
+void append_jsonl(std::string& out, const TraceEvent& ev) {
+  const std::size_t start = out.size();
+  out.resize(start + max_line_size(ev));
+  out.resize(static_cast<std::size_t>(write_line(out.data() + start, ev) - out.data()));
+}
+
 std::string to_jsonl(const TraceEvent& ev) {
   std::string out;
-  out.reserve(96);
-  out += "{\"t\":";
-  append_number(out, static_cast<double>(ev.time));
-  out += ",\"c\":";
-  append_escaped(out, to_string(ev.component));
-  out += ",\"k\":";
-  append_escaped(out, to_string(ev.kind));
-  out += ",\"n\":";
-  append_escaped(out, ev.node);
-  if (!ev.key.empty()) {
-    out += ",\"key\":";
-    append_escaped(out, ev.key);
-  }
-  if (!ev.aux.empty()) {
-    out += ",\"why\":";
-    append_escaped(out, ev.aux);
-  }
-  if (ev.nfields > 0) {
-    out += ",\"f\":{";
-    for (int i = 0; i < ev.nfields; ++i) {
-      if (i > 0) out.push_back(',');
-      const auto& f = ev.fields[static_cast<std::size_t>(i)];
-      append_escaped(out, f.key);
-      out.push_back(':');
-      append_number(out, f.value);
-    }
-    out.push_back('}');
-  }
-  out.push_back('}');
+  append_jsonl(out, ev);
   return out;
 }
 
-std::optional<TraceEvent> from_jsonl(std::string_view line) {
+std::optional<TraceEvent> from_jsonl(std::string_view line, NameTable& names) {
   Cursor cur{line};
   if (!cur.eat('{')) return std::nullopt;
   TraceEvent ev;
-  bool have_component = false;
-  bool have_kind = false;
+  std::optional<Component> component;
+  std::optional<Kind> kind;
+  std::string node, key, aux;
+  // Fields wait for the kind, which may come later in the line.
+  struct Field {
+    std::string name;
+    double value = 0.0;
+  };
+  std::array<Field, kMaxFields> fields;
+  int nfields = 0;
+  unsigned seen = 0;  // one bit per member already parsed
+  const auto first_time = [&seen](unsigned bit) {
+    const bool fresh = (seen & bit) == 0;
+    seen |= bit;
+    return fresh;
+  };
   if (!cur.peek('}')) {
     do {
       std::string member;
       if (!cur.parse_string(member) || !cur.eat(':')) return std::nullopt;
+      bool ok = false;
       if (member == "t") {
-        double t = 0.0;
-        if (!cur.parse_number(t)) return std::nullopt;
-        ev.time = static_cast<sim::SimTime>(t);
+        ok = first_time(1u << 0) && cur.parse_time(ev.time);
       } else if (member == "c") {
         std::string name;
-        if (!cur.parse_string(name)) return std::nullopt;
-        auto c = component_from(name);
-        if (!c) return std::nullopt;
-        ev.component = *c;
-        have_component = true;
+        ok = first_time(1u << 1) && cur.parse_string(name) &&
+             (component = component_from(name)).has_value();
       } else if (member == "k") {
         std::string name;
-        if (!cur.parse_string(name)) return std::nullopt;
-        auto k = kind_from(name);
-        if (!k) return std::nullopt;
-        ev.kind = *k;
-        have_kind = true;
+        ok = first_time(1u << 2) && cur.parse_string(name) &&
+             (kind = kind_from(name)).has_value();
       } else if (member == "n") {
-        if (!cur.parse_string(ev.node)) return std::nullopt;
+        ok = first_time(1u << 3) && cur.parse_string(node);
       } else if (member == "key") {
-        if (!cur.parse_string(ev.key)) return std::nullopt;
+        ok = first_time(1u << 4) && cur.parse_string(key);
       } else if (member == "why") {
-        if (!cur.parse_string(ev.aux)) return std::nullopt;
+        ok = first_time(1u << 5) && cur.parse_string(aux);
       } else if (member == "f") {
-        if (!cur.eat('{')) return std::nullopt;
-        if (!cur.peek('}')) {
+        ok = first_time(1u << 6) && cur.eat('{');
+        if (ok && !cur.peek('}')) {
           do {
-            std::string key;
-            double value = 0.0;
-            if (!cur.parse_string(key) || !cur.eat(':') || !cur.parse_number(value)) {
-              return std::nullopt;
-            }
-            if (ev.nfields < TraceEvent::kMaxFields) {
-              ev.fields[static_cast<std::size_t>(ev.nfields)] =
-                  TraceEvent::Field{std::move(key), value};
-              ++ev.nfields;
-            }
-          } while (cur.eat(','));
+            // More fields than slots cannot all be distinct names of a row.
+            if (nfields == kMaxFields) return std::nullopt;
+            Field& f = fields[static_cast<std::size_t>(nfields++)];
+            ok = cur.parse_string(f.name) && cur.eat(':') && cur.parse_finite(f.value);
+          } while (ok && cur.eat(','));
         }
-        if (!cur.eat('}')) return std::nullopt;
-      } else {
-        return std::nullopt;  // unknown member: not one of ours
+        ok = ok && cur.eat('}');
       }
+      if (!ok) return std::nullopt;  // also: an unknown member is not one of ours
     } while (cur.eat(','));
   }
   if (!cur.eat('}')) return std::nullopt;
-  if (!have_component || !have_kind) return std::nullopt;
+  if (!component || !kind || schema(*kind).component != *component) return std::nullopt;
+  ev.component = *component;
+  ev.kind = *kind;
+  for (int i = 0; i < nfields; ++i) {
+    const Field& f = fields[static_cast<std::size_t>(i)];
+    const int slot = find_slot(ev.kind, f.name);
+    if (slot < 0 || ev.has(slot)) return std::nullopt;  // not in the row, or repeated
+    ev.values[static_cast<std::size_t>(slot)] = f.value;
+    ev.present = static_cast<std::uint8_t>(ev.present | (1u << slot));
+  }
+  ev.node = names.intern(node);
+  ev.key = names.intern(key);
+  ev.aux = names.intern(aux);
   return ev;
 }
 
@@ -219,28 +299,24 @@ std::optional<JsonlFile> read_jsonl(const std::string& path) {
   if (file == nullptr) return std::nullopt;
   JsonlFile result;
   std::string line;
-  int c;
-  while ((c = std::fgetc(file)) != EOF) {
-    if (c != '\n') {
-      line.push_back(static_cast<char>(c));
-      continue;
-    }
-    if (!line.empty()) {
-      if (auto ev = from_jsonl(line)) {
-        result.events.push_back(std::move(*ev));
-      } else {
-        ++result.malformed;
-      }
-    }
-    line.clear();
-  }
-  if (!line.empty()) {
-    if (auto ev = from_jsonl(line)) {
-      result.events.push_back(std::move(*ev));
+  const auto take = [&result, &line] {
+    if (line.empty()) return;
+    if (auto ev = from_jsonl(line, result.names)) {
+      result.events.push_back(*ev);
     } else {
       ++result.malformed;
     }
+    line.clear();
+  };
+  int c;
+  while ((c = std::fgetc(file)) != EOF) {
+    if (c == '\n') {
+      take();
+    } else {
+      line.push_back(static_cast<char>(c));
+    }
   }
+  take();
   std::fclose(file);
   return result;
 }
@@ -249,19 +325,34 @@ JsonlWriter::JsonlWriter(const std::string& path)
     : path_{path}, file_{std::fopen(path.c_str(), "wb")} {}
 
 JsonlWriter::~JsonlWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+  if (file_ == nullptr) return;
+  flush();
+  std::fclose(file_);
 }
 
 void JsonlWriter::on_event(const TraceEvent& ev) {
   if (file_ == nullptr) return;
-  const std::string line = to_jsonl(ev);
-  std::fwrite(line.data(), 1, line.size(), file_);
-  std::fputc('\n', file_);
+  const std::size_t room = max_line_size(ev) + 1;  // and the newline
+  if (used_ + room > buffer_.size()) {
+    write_buffer();
+    if (room > buffer_.size()) buffer_.resize(std::max(room, kWriteChunk));
+  }
+  char* end = write_line(buffer_.data() + used_, ev);
+  *end++ = '\n';
+  used_ = static_cast<std::size_t>(end - buffer_.data());
   ++lines_;
 }
 
-void JsonlWriter::flush() {
-  if (file_ != nullptr) std::fflush(file_);
+void JsonlWriter::write_buffer() {
+  if (std::fwrite(buffer_.data(), 1, used_, file_) != used_) failed_ = true;
+  used_ = 0;
+}
+
+bool JsonlWriter::flush() {
+  if (file_ == nullptr) return false;
+  write_buffer();
+  if (std::fflush(file_) != 0) failed_ = true;
+  return !failed_;
 }
 
 }  // namespace wp2p::trace

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "trace/trace.hpp"
@@ -21,30 +20,44 @@ class Sink {
   virtual void on_event(const TraceEvent& ev) = 0;
 };
 
-// Keeps the most recent `capacity` events; older ones are evicted FIFO.
+// Keeps the most recent `capacity` events in fixed slots, overwriting the
+// oldest. Slots are allocated as the ring first fills, so an idle recorder
+// costs nothing and a full one allocates nothing per event.
 class RingBufferSink final : public Sink {
  public:
-  explicit RingBufferSink(std::size_t capacity) : capacity_{capacity} {}
-
-  void on_event(const TraceEvent& ev) override {
-    if (events_.size() >= capacity_) {
-      events_.pop_front();
-      ++evicted_;
-    }
-    events_.push_back(ev);
+  explicit RingBufferSink(std::size_t capacity) : capacity_{capacity} {
+    WP2P_ASSERT(capacity > 0);
   }
 
-  const std::deque<TraceEvent>& events() const { return events_; }
+  void on_event(const TraceEvent& ev) override {
+    if (slots_.size() < capacity_) {
+      slots_.push_back(ev);
+      return;
+    }
+    slots_[oldest_] = ev;
+    oldest_ = oldest_ + 1 == capacity_ ? 0 : oldest_ + 1;
+    ++evicted_;
+  }
+
+  // The retained events, oldest first.
+  std::vector<TraceEvent> events() const {
+    const auto split = slots_.begin() + static_cast<std::ptrdiff_t>(oldest_);
+    std::vector<TraceEvent> out(split, slots_.end());
+    out.insert(out.end(), slots_.begin(), split);
+    return out;
+  }
   std::uint64_t evicted() const { return evicted_; }
   std::size_t capacity() const { return capacity_; }
   void clear() {
-    events_.clear();
+    slots_.clear();
+    oldest_ = 0;
     evicted_ = 0;
   }
 
  private:
   std::size_t capacity_;
-  std::deque<TraceEvent> events_;
+  std::vector<TraceEvent> slots_;
+  std::size_t oldest_ = 0;  // slot the next event overwrites once full
   std::uint64_t evicted_ = 0;
 };
 
@@ -60,10 +73,20 @@ class Recorder {
   void add_sink(Sink* sink) { sinks_.push_back(sink); }
   void remove_sink(Sink* sink) { std::erase(sinks_, sink); }
 
+  // Interns the event's names into this recorder's table, then fans it out:
+  // sinks and the ring only ever see names that live as long as the recorder.
   void emit(TraceEvent ev) {
     ++emitted_;
+    ev.node = names_.intern(ev.node);
+    ev.key = names_.intern(ev.key);
+    ev.aux = names_.intern(ev.aux);
     for (Sink* sink : sinks_) sink->on_event(ev);
     ring_.on_event(ev);  // last, so sinks observe pre-eviction order too
+  }
+  // The WP2P_TRACE path: stamps the event with the simulator's clock.
+  void emit(TraceEvent ev, sim::SimTime now) {
+    ev.time = now;
+    emit(ev);
   }
 
   RingBufferSink& ring() { return ring_; }
@@ -71,6 +94,7 @@ class Recorder {
   std::uint64_t emitted() const { return emitted_; }
 
  private:
+  NameTable names_;
   RingBufferSink ring_;
   std::vector<Sink*> sinks_;
   std::uint64_t emitted_ = 0;

@@ -4,103 +4,35 @@ namespace wp2p::trace {
 
 namespace {
 
-struct ComponentName {
-  Component component;
-  const char* name;
-};
-constexpr ComponentName kComponents[] = {
-    {Component::kSim, "sim"}, {Component::kTcp, "tcp"},  {Component::kAm, "am"},
-    {Component::kLihd, "lihd"}, {Component::kBt, "bt"},  {Component::kMob, "mob"},
-    {Component::kChan, "chan"}, {Component::kFault, "fault"},
-    {Component::kCell, "cell"}, {Component::kStore, "store"},
-};
-
-struct KindName {
-  Kind kind;
-  const char* name;
-};
-constexpr KindName kKinds[] = {
-    {Kind::kScenario, "scenario"},
-    {Kind::kTcpState, "tcp.state"},
-    {Kind::kTcpCwnd, "tcp.cwnd"},
-    {Kind::kTcpFastRetransmit, "tcp.fast_retx"},
-    {Kind::kTcpRto, "tcp.rto"},
-    {Kind::kTcpClose, "tcp.close"},
-    {Kind::kAmClassify, "am.classify"},
-    {Kind::kAmDecouple, "am.decouple"},
-    {Kind::kAmDupackDrop, "am.dupack_drop"},
-    {Kind::kAmDupackPass, "am.dupack_pass"},
-    {Kind::kLihdStep, "lihd.step"},
-    {Kind::kBtChoke, "bt.choke"},
-    {Kind::kBtUnchoke, "bt.unchoke"},
-    {Kind::kBtPieceComplete, "bt.piece"},
-    {Kind::kBtHandoff, "bt.handoff"},
-    {Kind::kBtRecover, "bt.recover"},
-    {Kind::kBtAnnounce, "bt.announce"},
-    {Kind::kBtAnnounceRetry, "bt.announce_retry"},
-    {Kind::kBtRequest, "bt.request"},
-    {Kind::kBtPieceCorrupt, "bt.piece_corrupt"},
-    {Kind::kBtPieceReset, "bt.piece_reset"},
-    {Kind::kBtPeerStrike, "bt.strike"},
-    {Kind::kBtPeerBan, "bt.ban"},
-    {Kind::kBtReconnect, "bt.reconnect"},
-    {Kind::kBtTrackerFailover, "bt.tracker_failover"},
-    {Kind::kBtPexSend, "bt.pex_send"},
-    {Kind::kBtPexEntry, "bt.pex_entry"},
-    {Kind::kBtPexRecv, "bt.pex_recv"},
-    {Kind::kBtBootstrap, "bt.bootstrap"},
-    {Kind::kMobDetect, "mob.detect"},
-    {Kind::kChanLoss, "chan.loss"},
-    {Kind::kChanArqRetry, "chan.arq"},
-    {Kind::kChanQueueDrop, "chan.queue_drop"},
-    {Kind::kFaultStart, "fault.start"},
-    {Kind::kFaultEnd, "fault.end"},
-    {Kind::kFaultSkipped, "fault.skipped"},
-    {Kind::kCellAttach, "cell.attach"},
-    {Kind::kCellDetach, "cell.detach"},
-    {Kind::kCellRoam, "cell.roam"},
-    {Kind::kCellServe, "cell.serve"},
-    {Kind::kCellDeliver, "cell.deliver"},
-    {Kind::kBtMatrixSample, "bt.matrix"},
-    {Kind::kBtFloodDetect, "bt.flood"},
-    {Kind::kBtMalformed, "bt.malformed"},
-    {Kind::kBtLiarDetect, "bt.liar"},
-    {Kind::kBtPexSpam, "bt.pex_spam"},
-    {Kind::kBtStallAudit, "bt.stall_audit"},
-    {Kind::kBtGrace, "bt.mobile_grace"},
-    {Kind::kBtSuspend, "bt.suspend"},
-    {Kind::kBtResume, "bt.resume"},
-    {Kind::kBtResumeVerify, "bt.resume_verify"},
-    {Kind::kStoreWrite, "store.write"},
-    {Kind::kStoreLoad, "store.load"},
-};
+// Indexed by Component's enum value.
+constexpr const char* kComponentNames[] = {"sim",  "tcp",  "am",    "lihd", "bt",
+                                           "mob",  "chan", "fault", "cell", "store"};
+constexpr std::size_t kNumComponents = std::size(kComponentNames);
+static_assert(static_cast<std::size_t>(Component::kStore) + 1 == kNumComponents);
 
 }  // namespace
 
 const char* to_string(Component c) {
-  for (const auto& entry : kComponents) {
-    if (entry.component == c) return entry.name;
-  }
-  return "?";
+  const auto i = static_cast<std::size_t>(c);
+  return i < kNumComponents ? kComponentNames[i] : "?";
 }
 
 const char* to_string(Kind k) {
-  for (const auto& entry : kKinds) {
-    if (entry.kind == k) return entry.name;
-  }
-  return "?";
+  // Rows name their kinds with string literals, so the views end in NUL.
+  const auto i = static_cast<std::size_t>(k);
+  return i < kNumKinds ? kKinds[i].name.data() : "?";
 }
 
 std::optional<Component> component_from(std::string_view name) {
-  for (const auto& entry : kComponents) {
-    if (name == entry.name) return entry.component;
+  for (std::size_t i = 0; i < kNumComponents; ++i) {
+    if (name == kComponentNames[i]) return static_cast<Component>(i);
   }
   return std::nullopt;
 }
 
 std::optional<Kind> kind_from(std::string_view name) {
-  for (const auto& entry : kKinds) {
-    if (name == entry.name) return entry.kind;
+  for (const KindSchema& row : kKinds) {
+    if (name == row.name) return row.kind;
   }
   return std::nullopt;
 }
