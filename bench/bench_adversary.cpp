@@ -64,10 +64,14 @@ exp::Scenario kind_scenario(std::uint64_t seed, const char* kind) {
   s.file_size = 32 << 20;
   s.piece_size = 256 * 1024;
   s.peers = {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
   };
   if (kind != nullptr) add_adversaries(s, {kind, kind});
   return s;
@@ -162,10 +166,14 @@ exp::Scenario mixed_scenario(bool with_adversaries, bool no_enforcement) {
   s.file_size = 16 << 20;
   s.piece_size = 256 * 1024;
   s.peers = {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
   };
   if (with_adversaries) {
     // Three kinds, none of which contributes real serving capacity (a
@@ -261,10 +269,14 @@ exp::Scenario storm_scenario(std::uint64_t seed, const StormRow& row) {
   s.file_size = 4 << 20;
   s.piece_size = 256 * 1024;
   s.peers = {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "mob-w", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0},
-      {.name = "mob-d", .wireless = true, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "fix-l", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "mob-w", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0,
+       .adversary = ""},
+      {.name = "mob-d", .wireless = true, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "fix-l", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
   };
   s.faults.actions = row.actions;
   return s;

@@ -77,10 +77,14 @@ sim::FaultAction make_action(sim::FaultKind kind, double at_s, double dur_s, dou
 // wireless default leech, and a wired leech. Names are what the plans target.
 std::vector<exp::ScenarioPeer> canonical_peers() {
   return {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "mob-w", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0},
-      {.name = "mob-d", .wireless = true, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "fix-l", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.2},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "mob-w", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0,
+       .adversary = ""},
+      {.name = "mob-d", .wireless = true, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "fix-l", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.2,
+       .adversary = ""},
   };
 }
 
@@ -282,11 +286,16 @@ exp::Scenario blackout_scenario(std::uint64_t seed, const SurvivalConfig& cfg) {
   s.pex = cfg.pex;
   s.bootstrap = cfg.cache;
   s.peers = {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "mob", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l2", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "mob", .wireless = true, .is_seed = false, .wp2p = true, .preload = 0.0,
+       .adversary = ""},
   };
   s.faults.actions = {
       make_action(sim::FaultKind::kTrackerOutage, 2, 240, 0, ""),     // primary
@@ -383,10 +392,14 @@ exp::Scenario poison_scenario(bool no_ban) {
   s.file_size = 4 << 20;
   s.piece_size = 256 * 1024;
   s.peers = {
-      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "venom", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0},
-      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
-      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0},
+      {.name = "seed0", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "venom", .wireless = false, .is_seed = true, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l0", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
+      {.name = "l1", .wireless = false, .is_seed = false, .wp2p = false, .preload = 0.0,
+       .adversary = ""},
   };
   // The poisoner's egress is damaged for the whole run: every piece it
   // serves fails verification at the receiver.

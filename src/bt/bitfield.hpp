@@ -71,6 +71,16 @@ class Bitfield {
   int word_count() const { return static_cast<int>(words_.size()); }
   std::uint64_t word(int w) const { return words_[static_cast<std::size_t>(w)]; }
 
+  // Calls f(i) for every set index i, in increasing order, a word at a time.
+  template <typename F>
+  void for_each_set(F&& f) const {
+    for (std::size_t w = 0; w < words_.size(); ++w) {
+      for (std::uint64_t bits = words_[w]; bits != 0; bits &= bits - 1) {
+        f(static_cast<int>(w) * 64 + std::countr_zero(bits));
+      }
+    }
+  }
+
   // First index not set, or -1 when complete.
   int first_missing() const {
     for (std::size_t w = 0; w < words_.size(); ++w) {

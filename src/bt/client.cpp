@@ -4,6 +4,8 @@
 #include <array>
 #include <bit>
 
+#include "bt/pex_delta.hpp"
+#include "bt/upload_rotation.hpp"
 #include "trace/recorder.hpp"
 #include "util/assert.hpp"
 #include "util/logging.hpp"
@@ -299,6 +301,8 @@ void Client::stop() {
     auto doomed = peers_;  // abort mutates peers_ via on_closed
     for (auto& peer : doomed) peer->tcp().abort();
     peers_.clear();
+    peer_seqs_.clear();
+    upload_pending_.clear();
   });
 }
 
@@ -638,15 +642,16 @@ void Client::send_pex_round() {
   if (!config_.pex || !running() || !node_.connected()) return;
   const net::Endpoint self{node_.address(), config_.listen_port};
   // The live advert set: listen endpoints of established, unbanned peers.
-  std::map<net::Endpoint, PeerId> current;
+  std::vector<PexPeer> adverts;
   for (const auto& peer : peers_) {
     if (!peer->app_established() || peer->remote_id == 0) continue;
     if (is_banned(peer->remote_id)) continue;
     auto it = known_listen_endpoints_.find(peer->remote_id);
     if (it == known_listen_endpoints_.end()) continue;
     if (it->second == self) continue;
-    current[it->second] = peer->remote_id;
+    adverts.push_back({it->second, peer->remote_id});
   }
+  const std::vector<PexPeer> current = sorted_adverts(std::move(adverts));
   for (const auto& peer : peers_) {
     if (!peer->app_established() || is_banned(peer->remote_id)) continue;
     // Rate limit per recipient endpoint: survives reconnects and restarts
@@ -661,16 +666,8 @@ void Client::send_pex_round() {
       continue;
     }
     std::vector<PexPeer> added;
-    for (const auto& [endpoint, id] : current) {
-      if (endpoint == to || id == peer->remote_id) continue;  // not itself
-      auto it = peer->pex_sent.find(endpoint);
-      if (it != peer->pex_sent.end() && it->second == id) continue;  // known
-      added.push_back({endpoint, id});
-    }
     std::vector<net::Endpoint> dropped;
-    for (const auto& [endpoint, id] : peer->pex_sent) {
-      if (current.count(endpoint) == 0) dropped.push_back(endpoint);
-    }
+    pex_delta(current, peer->pex_sent, to, peer->remote_id, added, dropped);
     if (added.empty() && dropped.empty()) continue;
     for (const net::Endpoint& endpoint : dropped) peer->pex_sent.erase(endpoint);
     for (const PexPeer& entry : added) peer->pex_sent[entry.endpoint] = entry.peer_id;
@@ -812,6 +809,7 @@ void Client::accept_connection(std::shared_ptr<tcp::Connection> conn) {
 void Client::setup_peer(const std::shared_ptr<PeerConnection>& peer) {
   peer->seq = ++next_peer_seq_;
   peers_.push_back(peer);
+  peer_seqs_.push_back(peer->seq);
   ++stats_.peers_connected_total;
   PeerConnection* p = peer.get();
   tcp::Connection& conn = peer->tcp();
@@ -859,17 +857,10 @@ void Client::drop_peer(PeerConnection* peer) {
   auto it = std::find_if(peers_.begin(), peers_.end(),
                          [peer](const auto& sp) { return sp.get() == peer; });
   if (it == peers_.end()) return;
-  if (peer->bitfield_counted) {
-    for (int i = 0; i < peer->peer_bitfield.size(); ++i) {
-      if (peer->peer_bitfield.test(i)) --availability_[static_cast<std::size_t>(i)];
-    }
-  }
+  if (peer->bitfield_counted) add_availability(peer->peer_bitfield, -1);
   return_outstanding(*peer);
   if (optimistic_peer_ == peer) optimistic_peer_ = nullptr;
-  if (peer->upload_pending_counted) {
-    peer->upload_pending_counted = false;
-    --pending_upload_peers_;
-  }
+  std::erase(upload_pending_, peer->seq);
   std::erase(interested_peers_, peer);
   // A dropped connection that was still unchoked closes its unchoke interval
   // here — drop_peer never goes through set_choke, so without this edge the
@@ -878,6 +869,7 @@ void Client::drop_peer(PeerConnection* peer) {
     on_unchoke_change(peer->remote_id, false);
   }
   peer->detach();
+  peer_seqs_.erase(peer_seqs_.begin() + (it - peers_.begin()));
   peers_.erase(it);
 }
 
@@ -892,14 +884,17 @@ void Client::set_peer_interested(PeerConnection& peer, bool interested) {
 }
 
 void Client::update_pending_upload(PeerConnection& peer) {
-  const bool pending = !peer.upload_queue.empty();
-  if (pending == peer.upload_pending_counted) return;
-  peer.upload_pending_counted = pending;
-  if (pending) {
-    ++pending_upload_peers_;
-  } else {
-    --pending_upload_peers_;
+  const auto it = std::lower_bound(upload_pending_.begin(), upload_pending_.end(), peer.seq);
+  const bool listed = it != upload_pending_.end() && *it == peer.seq;
+  if (peer.upload_queue.empty()) {
+    if (listed) upload_pending_.erase(it);
+  } else if (!listed) {
+    upload_pending_.insert(it, peer.seq);
   }
+}
+
+void Client::add_availability(const Bitfield& pieces, int delta) {
+  pieces.for_each_set([&](int i) { availability_[static_cast<std::size_t>(i)] += delta; });
 }
 
 std::vector<PeerConnection*> Client::snapshot_by_seq(
@@ -1058,16 +1053,10 @@ void Client::handle_bitfield(PeerConnection& peer, const WireMessage& msg) {
     peer.tcp().abort();
     return;
   }
-  if (peer.bitfield_counted) {
-    for (int i = 0; i < peer.peer_bitfield.size(); ++i) {
-      if (peer.peer_bitfield.test(i)) --availability_[static_cast<std::size_t>(i)];
-    }
-  }
+  if (peer.bitfield_counted) add_availability(peer.peer_bitfield, -1);
   peer.peer_bitfield = msg.bitfield;
   peer.bitfield_counted = true;
-  for (int i = 0; i < peer.peer_bitfield.size(); ++i) {
-    if (peer.peer_bitfield.test(i)) ++availability_[static_cast<std::size_t>(i)];
-  }
+  add_availability(peer.peer_bitfield, +1);
   if (store_.complete() && peer.peer_bitfield.all()) {
     // Seed-to-seed connection: nothing to trade.
     peer.tcp().abort();
@@ -1085,9 +1074,7 @@ void Client::handle_have(PeerConnection& peer, const WireMessage& msg) {
     } else {
       peer.bitfield_counted = true;
       // First availability info from this peer arrived as a HAVE.
-      for (int i = 0; i < peer.peer_bitfield.size(); ++i) {
-        if (peer.peer_bitfield.test(i)) ++availability_[static_cast<std::size_t>(i)];
-      }
+      add_availability(peer.peer_bitfield, +1);
     }
   }
   if (!peer.am_interested) evaluate_interest(peer);
@@ -1641,30 +1628,33 @@ void Client::pump_uploads() {
   // With nothing queued anywhere, a full idle cycle would advance the cursor
   // by exactly peers_.size() — a no-op mod size — so skipping it entirely is
   // behavior-identical and keeps idle pump ticks O(1) in swarm size.
-  if (pending_upload_peers_ == 0) return;
+  if (upload_pending_.empty()) return;
   // Persistent round-robin cursor: with a tight token budget, starting from
   // index 0 every pump would starve later peers of upload service.
-  std::size_t idle_streak = 0;
-  while (idle_streak < peers_.size()) {
-    PeerConnection& peer = *peers_[upload_cursor_ % peers_.size()];
-    upload_cursor_ = (upload_cursor_ + 1) % peers_.size();
-    bool served = false;
-    if (!peer.upload_queue.empty() && !peer.am_choking &&
-        peer.tcp().send_queue_bytes() <= kMaxTcpBacklog) {
-      const PeerConnection::PendingUpload job = peer.upload_queue.front();
-      if (!upload_bucket_.try_consume(now, job.length)) return;  // pump tick retries
-      peer.upload_queue.pop_front();
-      update_pending_upload(peer);
-      peer.send(WireMessage::piece_msg(job.piece, job.offset, job.length));
-      peer.uploaded_payload += job.length;
-      peer.up_meter.add(now, job.length);
-      up_rate_.add(now, job.length);
-      stats_.payload_uploaded += job.length;
-      if (on_payload_sent) on_payload_sent(peer.remote_id, job.length);
-      served = true;
-    }
-    idle_streak = served ? 0 : idle_streak + 1;
-  }
+  const std::size_t n = peers_.size();
+  const auto next_pending = [&](std::size_t from) {
+    if (upload_pending_.empty()) return n;
+    auto it = std::lower_bound(upload_pending_.begin(), upload_pending_.end(), peer_seqs_[from]);
+    if (it == upload_pending_.end()) it = upload_pending_.begin();
+    return static_cast<std::size_t>(
+        std::lower_bound(peer_seqs_.begin(), peer_seqs_.end(), *it) - peer_seqs_.begin());
+  };
+  const auto visit = [&](std::size_t index) {
+    PeerConnection& peer = *peers_[index];
+    if (peer.am_choking || peer.tcp().send_queue_bytes() > kMaxTcpBacklog) return Visit::kIdle;
+    const PeerConnection::PendingUpload job = peer.upload_queue.front();
+    if (!upload_bucket_.try_consume(now, job.length)) return Visit::kStop;  // pump tick retries
+    peer.upload_queue.pop_front();
+    update_pending_upload(peer);
+    peer.send(WireMessage::piece_msg(job.piece, job.offset, job.length));
+    peer.uploaded_payload += job.length;
+    peer.up_meter.add(now, job.length);
+    up_rate_.add(now, job.length);
+    stats_.payload_uploaded += job.length;
+    if (on_payload_sent) on_payload_sent(peer.remote_id, job.length);
+    return Visit::kServed;
+  };
+  upload_cursor_ = walk_round_robin(n, upload_cursor_, next_pending, visit);
 }
 
 // --- Mobility -----------------------------------------------------------------------

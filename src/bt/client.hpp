@@ -186,12 +186,14 @@ class Client {
     }
     return nullptr;
   }
-  // Visible for tests: recompute the incremental interested/unchoked sets and
-  // the pending-upload tally from a full peers_ scan and compare against the
-  // maintained values. The choker property test asserts this after randomized
-  // rate churn, choke/unchoke storms, and peer bans.
+  // Visible for tests: recompute the incremental interested/unchoked sets,
+  // the seq mirror and the ordered pending-upload set from a full peers_ scan
+  // and compare against the maintained values. The choker property test
+  // asserts this after randomized rate churn, choke/unchoke storms, and peer
+  // bans.
   bool incremental_sets_consistent() const {
-    std::size_t interested = 0, unchoked = 0, pending = 0;
+    std::size_t interested = 0, unchoked = 0;
+    std::vector<std::uint64_t> seqs, pending;
     for (const auto& peer : peers_) {
       const bool in_interested =
           std::find(interested_peers_.begin(), interested_peers_.end(), peer.get()) !=
@@ -201,13 +203,14 @@ class Client {
           unchoked_peers_.end();
       if (peer->peer_interested != in_interested) return false;
       if (!peer->am_choking != in_unchoked) return false;
-      if (!peer->upload_queue.empty() != peer->upload_pending_counted) return false;
       if (peer->peer_interested) ++interested;
       if (!peer->am_choking) ++unchoked;
-      if (!peer->upload_queue.empty()) ++pending;
+      seqs.push_back(peer->seq);
+      if (!peer->upload_queue.empty()) pending.push_back(peer->seq);
     }
     return interested == interested_peers_.size() && unchoked == unchoked_peers_.size() &&
-           pending == pending_upload_peers_;
+           std::is_sorted(seqs.begin(), seqs.end()) && seqs == peer_seqs_ &&
+           pending == upload_pending_;
   }
   // Visible for tests: feed a wire message through the dispatch path as if
   // `peer` had delivered it (deterministic stand-in for in-flight races the
@@ -275,8 +278,10 @@ class Client {
 
   // Upload side.
   void pump_uploads();
-  // Keep pending_upload_peers_ in sync after any upload_queue mutation.
+  // Keep upload_pending_ in sync after any upload_queue mutation.
   void update_pending_upload(PeerConnection& peer);
+  // Adds `delta` to the availability of every piece `pieces` holds.
+  void add_availability(const Bitfield& pieces, int delta);
 
   // Incremental peer-set maintenance (choker rounds are O(interested), not
   // O(peers)). Snapshots are sorted by admission seq, which equals peers_
@@ -333,12 +338,15 @@ class Client {
   ResumeStore* resume_store_ = nullptr;
   bool resume_attempted_ = false;  // restore runs once, on the first start()
 
-  std::vector<std::shared_ptr<PeerConnection>> peers_;
+  std::vector<std::shared_ptr<PeerConnection>> peers_;  // append-only in seq order
+  // peers_[i]->seq, kept contiguous: a peer's index is its rank here, found
+  // by binary search without touching the PeerConnection objects.
+  std::vector<std::uint64_t> peer_seqs_;
   std::uint64_t next_peer_seq_ = 0;  // admission counter backing PeerConnection::seq
   // Incrementally maintained membership sets (unordered; sort by seq at use).
   std::vector<PeerConnection*> interested_peers_;  // peer_interested == true
   std::vector<PeerConnection*> unchoked_peers_;    // am_choking == false
-  std::size_t pending_upload_peers_ = 0;  // peers with a non-empty upload_queue
+  std::vector<std::uint64_t> upload_pending_;  // sorted seqs of peers with queued uploads
   std::vector<int> availability_;                       // remote copies per piece
   std::map<int, std::vector<BlockState>> active_;       // pieces in progress
   Bitfield active_pieces_;  // mirror of active_ keys for word-wise candidate scans

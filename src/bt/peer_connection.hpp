@@ -83,8 +83,6 @@ class PeerConnection {
   // reproduce exact peers_-iteration order — and therefore exact message
   // order and trace hashes — without rescanning peers_.
   std::uint64_t seq = 0;
-  // True while this peer is counted in the Client's pending-upload tally.
-  bool upload_pending_counted = false;
   bool handshake_sent = false;
   bool handshake_received = false;
   PeerId remote_id = 0;

@@ -61,7 +61,7 @@ void AmFilter::trace_class([[maybe_unused]] Flow& f, [[maybe_unused]] net::Endpo
 }
 
 void AmFilter::ingress(net::Packet pkt, std::vector<net::Packet>& out) {
-  if (const auto* seg = pkt.payload_as<tcp::Segment>(); seg != nullptr && seg->payload > 0) {
+  if (const tcp::Segment* seg = pkt.payload.get(); seg != nullptr && seg->payload > 0) {
     // pkt.dst is our endpoint, pkt.src the remote: data from the peer feeds
     // its congestion-window estimate.
     flow(pkt.dst, pkt.src).ingress_bytes.add(sim_.now(), static_cast<double>(seg->payload));
@@ -70,7 +70,7 @@ void AmFilter::ingress(net::Packet pkt, std::vector<net::Packet>& out) {
 }
 
 void AmFilter::egress(net::Packet pkt, std::vector<net::Packet>& out) {
-  const auto* seg = pkt.payload_as<tcp::Segment>();
+  const tcp::Segment* seg = pkt.payload.get();
   if (seg == nullptr || seg->syn || seg->rst || seg->ack < 0) {
     out.push_back(std::move(pkt));
     return;
@@ -115,7 +115,7 @@ void AmFilter::egress(net::Packet pkt, std::vector<net::Packet>& out) {
   if (new_ack_info && config_.decouple_acks && young(f)) {
     // Convey the new ACK info in a separate 40-byte pure ACK ahead of the
     // data packet: under bit errors the short packet is far likelier to live.
-    auto ack = std::make_shared<tcp::Segment>();
+    auto ack = tcp::Segment::alloc();
     ack->seq = seg->seq;
     ack->payload = 0;
     ack->ack = seg->ack;

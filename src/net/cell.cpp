@@ -293,10 +293,12 @@ void Cell::maybe_serve() {
     st.down_seqs.pop_front();
   }
   Packet pkt = queue.pop();
-  sim_.after(frame_airtime(pkt.size, dir, contended),
-             [this, slot, dir, pkt = std::move(pkt)]() mutable {
+  const sim::SimTime airtime = frame_airtime(pkt.size, dir, contended);
+  auto sent = [this, slot, dir, pkt = std::move(pkt)]() mutable {
     finish(slot, dir, std::move(pkt), 0);
-  });
+  };
+  static_assert(sim::EventSlab::fits_inline<decltype(sent)>);
+  sim_.after(airtime, std::move(sent));
 }
 
 void Cell::finish(std::size_t slot, Direction dir, Packet pkt, int attempt) {
@@ -319,10 +321,13 @@ void Cell::finish(std::size_t slot, Direction dir, Packet pkt, int attempt) {
                          .with("attempt", static_cast<double>(attempt + 1)));
     const bool contended =
         backlog(dir == Direction::kUp ? Direction::kDown : Direction::kUp);
-    sim_.after(frame_airtime(pkt.size, dir, contended),
-               [this, slot, dir, pkt = std::move(pkt), attempt]() mutable {
+    const sim::SimTime airtime = frame_airtime(pkt.size, dir, contended);
+    // `attempt` before `pkt`: it fits in the padding after `dir`.
+    auto resent = [this, slot, dir, attempt, pkt = std::move(pkt)]() mutable {
       finish(slot, dir, std::move(pkt), attempt + 1);
-    });
+    };
+    static_assert(sim::EventSlab::fits_inline<decltype(resent)>);
+    sim_.after(airtime, std::move(resent));
     return;
   }
   busy_ = false;
@@ -343,7 +348,7 @@ void Cell::finish(std::size_t slot, Direction dir, Packet pkt, int attempt) {
     maybe_serve();
     return;
   }
-  sim_.after(params_.prop_delay, [this, slot, dir, pkt = std::move(pkt)]() mutable {
+  auto arrived = [this, slot, dir, pkt = std::move(pkt)]() mutable {
     if (dir == Direction::kUp) {
       network_.forward(std::move(pkt));
       return;
@@ -362,7 +367,9 @@ void Cell::finish(std::size_t slot, Direction dir, Packet pkt, int attempt) {
                            .with("size", static_cast<double>(pkt.size)));
     }
     station.node->deliver(std::move(pkt));
-  });
+  };
+  static_assert(sim::EventSlab::fits_inline<decltype(arrived)>);
+  sim_.after(params_.prop_delay, std::move(arrived));
   maybe_serve();
 }
 

@@ -1,11 +1,33 @@
 #include "net/node.hpp"
 
 #include "net/network.hpp"
+#include "util/assert.hpp"
 
 namespace wp2p::net {
 
 Node::Node(Network& network, sim::Simulator& sim, std::string name, IpAddr addr)
     : network_{network}, sim_{sim}, name_{std::move(name)}, addr_{addr} {}
+
+template <typename Consume>
+void Node::run_filters(FilterScratch& scratch, const std::vector<PacketFilter*>& filters,
+                       void (PacketFilter::*hook)(Packet, std::vector<Packet>&), Packet pkt,
+                       Consume&& consume) {
+  // Links and the network hand packets over only through events, so nothing
+  // re-enters this direction while its batch is still being consumed.
+  WP2P_ASSERT_MSG(!scratch.busy, "re-entered a node's filter batch");
+  scratch.busy = true;
+  std::vector<Packet>* batch = &scratch.a;
+  std::vector<Packet>* next = &scratch.b;
+  batch->push_back(std::move(pkt));
+  for (PacketFilter* filter : filters) {
+    for (Packet& p : *batch) (filter->*hook)(std::move(p), *next);
+    batch->clear();
+    std::swap(batch, next);
+  }
+  for (Packet& p : *batch) consume(p);
+  batch->clear();
+  scratch.busy = false;
+}
 
 void Node::send(Packet pkt) {
   if (!connected_ || link_ == nullptr) return;
@@ -14,13 +36,8 @@ void Node::send(Packet pkt) {
     link_->enqueue_up(std::move(pkt));
     return;
   }
-  std::vector<Packet> batch{std::move(pkt)};
-  for (PacketFilter* filter : egress_filters_) {
-    std::vector<Packet> next;
-    for (Packet& p : batch) filter->egress(std::move(p), next);
-    batch = std::move(next);
-  }
-  for (Packet& p : batch) link_->enqueue_up(std::move(p));
+  run_filters(egress_, egress_filters_, &PacketFilter::egress, std::move(pkt),
+              [this](Packet& p) { link_->enqueue_up(std::move(p)); });
 }
 
 void Node::deliver(Packet pkt) {
@@ -30,15 +47,10 @@ void Node::deliver(Packet pkt) {
     if (sink_ != nullptr) sink_->receive(pkt);
     return;
   }
-  std::vector<Packet> batch{std::move(pkt)};
-  for (PacketFilter* filter : ingress_filters_) {
-    std::vector<Packet> next;
-    for (Packet& p : batch) filter->ingress(std::move(p), next);
-    batch = std::move(next);
-  }
-  if (sink_ != nullptr) {
-    for (const Packet& p : batch) sink_->receive(p);
-  }
+  run_filters(ingress_, ingress_filters_, &PacketFilter::ingress, std::move(pkt),
+              [this](const Packet& p) {
+                if (sink_ != nullptr) sink_->receive(p);
+              });
 }
 
 void Node::change_address() {

@@ -65,6 +65,19 @@ class Node {
  private:
   friend class Network;
 
+  // Two batches per direction, reused for every packet that crosses filters.
+  struct FilterScratch {
+    std::vector<Packet> a;
+    std::vector<Packet> b;
+    bool busy = false;  // a batch is being filtered or consumed
+  };
+  // Runs `pkt` through every filter's `hook` in `scratch`, then hands each
+  // surviving packet to `consume`.
+  template <typename Consume>
+  void run_filters(FilterScratch& scratch, const std::vector<PacketFilter*>& filters,
+                   void (PacketFilter::*hook)(Packet, std::vector<Packet>&), Packet pkt,
+                   Consume&& consume);
+
   Network& network_;
   sim::Simulator& sim_;
   std::string name_;
@@ -74,6 +87,8 @@ class Node {
   PacketSink* sink_ = nullptr;
   std::vector<PacketFilter*> egress_filters_;
   std::vector<PacketFilter*> ingress_filters_;
+  FilterScratch egress_;
+  FilterScratch ingress_;
   std::uint64_t sent_packets_ = 0;
   std::uint64_t delivered_packets_ = 0;
   std::uint64_t address_changes_ = 0;

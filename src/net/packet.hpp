@@ -1,9 +1,10 @@
 // Simulated network packets.
 //
-// A Packet carries routing metadata plus an opaque, immutable payload. The
-// payload is reference-counted so queues, retransmission logic, and filters
-// can share it without copies; anything that wants to *modify* a payload
-// (e.g. the wP2P packet filter rewriting a TCP segment) copies it first.
+// A Packet carries routing metadata plus an immutable TCP segment. The segment
+// is reference-counted so queues, retransmission logic, and filters can share
+// it without copies; anything that wants to *modify* a segment (e.g. the wP2P
+// packet filter rewriting one) copies it first. The network layer never reads
+// the segment, so it is only forward-declared here.
 #pragma once
 
 #include <cstdint>
@@ -11,12 +12,11 @@
 
 #include "net/address.hpp"
 
-namespace wp2p::net {
+namespace wp2p::tcp {
+struct Segment;
+}  // namespace wp2p::tcp
 
-// Base class for protocol payloads (TCP segments, control messages, ...).
-struct PacketPayload {
-  virtual ~PacketPayload() = default;
-};
+namespace wp2p::net {
 
 struct Packet {
   Endpoint src;
@@ -25,12 +25,7 @@ struct Packet {
   // Simulation metadata: a fault window damaged the payload bytes in flight.
   // The packet still routes normally — the transport decides what survives.
   bool corrupted = false;
-  std::shared_ptr<const PacketPayload> payload;
-
-  template <typename T>
-  const T* payload_as() const {
-    return dynamic_cast<const T*>(payload.get());
-  }
+  std::shared_ptr<const tcp::Segment> payload;  // null for non-TCP packets
 };
 
 }  // namespace wp2p::net

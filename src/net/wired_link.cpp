@@ -44,9 +44,11 @@ void WiredLink::maybe_serve(Direction dir) {
   Packet pkt = queue.pop();
   util::Rate capacity = dir == Direction::kUp ? params_.up_capacity : params_.down_capacity;
   sim::SimTime serialization = sim::seconds(capacity.seconds_for(pkt.size));
-  sim_.after(serialization, [this, dir, pkt = std::move(pkt)]() mutable {
+  auto serialized = [this, dir, pkt = std::move(pkt)]() mutable {
     finish(dir, std::move(pkt));
-  });
+  };
+  static_assert(sim::EventSlab::fits_inline<decltype(serialized)>);
+  sim_.after(serialization, std::move(serialized));
 }
 
 void WiredLink::finish(Direction dir, Packet pkt) {
@@ -54,13 +56,15 @@ void WiredLink::finish(Direction dir, Packet pkt) {
   busy = false;
   note_transmit(dir, pkt);
   // Propagate, then hand over; the link is already free for the next packet.
-  sim_.after(params_.prop_delay, [this, dir, pkt = std::move(pkt)]() mutable {
+  auto arrived = [this, dir, pkt = std::move(pkt)]() mutable {
     if (dir == Direction::kUp) {
       network_.forward(std::move(pkt));
     } else {
       node_.deliver(std::move(pkt));
     }
-  });
+  };
+  static_assert(sim::EventSlab::fits_inline<decltype(arrived)>);
+  sim_.after(params_.prop_delay, std::move(arrived));
   maybe_serve(dir);
 }
 

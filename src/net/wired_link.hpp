@@ -26,9 +26,6 @@ class WiredLink final : public AccessLink {
   void enqueue_down(Packet pkt) override;
   void reset_queues() override;
 
-  const WiredParams& params() const { return params_; }
-  void set_params(const WiredParams& params) { params_ = params; }
-
  private:
   void maybe_serve(Direction dir);
   void finish(Direction dir, Packet pkt);

@@ -54,10 +54,14 @@ static_assert(std::is_trivially_copyable_v<QueueKey>);
 // closure, including one that is running.
 class EventSlab {
  public:
-  // 56 bytes of inline closure storage covers every handler the protocol
-  // stack schedules ([this, alive, endpoint, message]-sized captures) without
-  // touching the heap.
-  using Handler = util::SmallFn<56>;
+  // 72 bytes of inline closure storage hold the packet hops, the widest hot
+  // closures: a 48-byte net::Packet plus [this, slot, dir, attempt] at a cell.
+  // Timers and message handlers ([this, alive, endpoint, message]) are
+  // smaller. Each hop site checks fits_inline in a static_assert. Rarer,
+  // larger captures (a resume-journal write) still fall back to the heap.
+  using Handler = util::SmallFn<72>;
+  template <typename F>
+  static constexpr bool fits_inline = Handler::fits_inline<std::decay_t<F>>;
 
   EventSlab() = default;
   EventSlab(const EventSlab&) = delete;

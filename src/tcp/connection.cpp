@@ -135,14 +135,14 @@ void Connection::start_accept(const Segment& syn) {
 }
 
 void Connection::send_syn() {
-  auto seg = std::make_shared<Segment>();
+  auto seg = Segment::alloc();
   seg->syn = true;
   seg->ack = -1;
   emit(std::move(seg));
 }
 
 void Connection::send_synack() {
-  auto seg = std::make_shared<Segment>();
+  auto seg = Segment::alloc();
   seg->syn = true;
   seg->ack = rcv_nxt_;  // acknowledges the SYN
   emit(std::move(seg));
@@ -357,7 +357,7 @@ void Connection::try_send() {
 }
 
 void Connection::send_data_segment(std::int64_t seq, std::int64_t len, bool fresh) {
-  auto seg = std::make_shared<Segment>();
+  auto seg = Segment::alloc();
   seg->seq = seq;
   seg->payload = len;
   seg->ack = rcv_nxt_;
@@ -384,7 +384,7 @@ void Connection::send_data_segment(std::int64_t seq, std::int64_t len, bool fres
 }
 
 void Connection::send_pure_ack(bool dup) {
-  auto seg = std::make_shared<Segment>();
+  auto seg = Segment::alloc();
   seg->seq = snd_nxt_;
   seg->payload = 0;
   seg->ack = rcv_nxt_;

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "util/pool.hpp"
 
 namespace wp2p::tcp {
 
@@ -27,7 +28,14 @@ struct MessageLedger {
   std::vector<Entry> entries;
 };
 
-struct Segment final : net::PacketPayload {
+struct Segment {
+  // Every segment allocates through a pooled allocator: one is made per packet
+  // sent, and allocate_shared puts the control block and the segment in a
+  // single recycled block (see util/pool.hpp).
+  static std::shared_ptr<Segment> alloc() {
+    return std::allocate_shared<Segment>(util::PoolAllocator<Segment>{});
+  }
+
   std::int64_t seq = 0;      // offset of first payload byte
   std::int64_t payload = 0;  // payload bytes (zero for pure ACKs / handshake)
   std::int64_t ack = -1;     // cumulative ACK: next expected byte; -1 = none

@@ -43,7 +43,7 @@ void Stack::abort_all(CloseReason reason) {
 }
 
 void Stack::receive(const net::Packet& pkt) {
-  const auto* seg = pkt.payload_as<Segment>();
+  const Segment* seg = pkt.payload.get();
   if (seg == nullptr) return;  // not TCP (e.g. a control-plane packet)
   if (pkt.dst.addr != node_.address()) return;  // raced an address change
 
@@ -73,7 +73,7 @@ void Stack::receive(const net::Packet& pkt) {
 
 void Stack::send_rst(const net::Packet& pkt) {
   ++rsts_sent_;
-  auto rst = std::make_shared<Segment>();
+  auto rst = Segment::alloc();
   rst->rst = true;
   rst->ack = 0;
   net::Packet out;

@@ -27,7 +27,6 @@ class Stack final : public net::PacketSink {
   net::Node& node() { return node_; }
   sim::Simulator& sim() { return node_.sim(); }
   const TcpParams& params() const { return params_; }
-  void set_params(const TcpParams& params) { params_ = params; }
 
   // Active open to `remote`. The connection is returned immediately in
   // kConnecting state; on_connected fires when the handshake completes.

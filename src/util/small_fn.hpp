@@ -3,10 +3,12 @@
 // std::function heap-allocates any closure larger than its small-buffer
 // optimisation (16 bytes in libstdc++) — and the simulator schedules millions
 // of closures that capture [this, alive, endpoint]-sized state. SmallFn keeps
-// closures up to `Capacity` bytes inline in the event entry itself, falling
-// back to the heap only for oversized captures, so the hot enqueue/dequeue
-// path performs no allocation. Unlike std::function it requires only movable
-// callables, which also lets handlers own move-only resources.
+// closures up to `Capacity` bytes inline in the event entry itself and falls
+// back to the heap for larger captures, silently. A hot call site that must
+// not allocate checks `fits_inline<Closure>` in a static_assert, so a capture
+// that outgrows the storage fails the build instead. Unlike std::function it
+// requires only movable callables, which also lets handlers own move-only
+// resources.
 #pragma once
 
 #include <cstddef>
@@ -22,6 +24,11 @@ namespace wp2p::util {
 template <std::size_t Capacity>
 class SmallFn {
  public:
+  // Whether a closure of type F is stored inline rather than on the heap.
+  template <typename F>
+  static constexpr bool fits_inline =
+      sizeof(F) <= Capacity && alignof(F) <= alignof(std::max_align_t);
+
   SmallFn() = default;
 
   template <typename F,
@@ -30,7 +37,7 @@ class SmallFn {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   SmallFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for std::function
     using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= Capacity && alignof(Fn) <= alignof(std::max_align_t)) {
+    if constexpr (fits_inline<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
       vt_ = vtable<Fn, /*Inline=*/true>();
     } else {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace wp2p::bt {
 namespace {
 
@@ -85,6 +87,21 @@ TEST(Bitfield, ByteSizeMatchesWireEncoding) {
   EXPECT_EQ(Bitfield{9}.byte_size(), 2);
   EXPECT_EQ(Bitfield{400}.byte_size(), 50);
   EXPECT_EQ(Bitfield{0}.byte_size(), 0);
+}
+
+TEST(Bitfield, ForEachSetVisitsSetBitsInOrder) {
+  for (int size : {0, 1, 63, 64, 65, 130, 2752}) {
+    Bitfield bf{size};
+    for (int i = 0; i < size; ++i) {
+      if ((i * 7919) % 5 < 2 || i == size - 1) bf.set(i);
+    }
+    std::vector<int> expected, seen;
+    for (int i = 0; i < size; ++i) {
+      if (bf.test(i)) expected.push_back(i);
+    }
+    bf.for_each_set([&](int i) { seen.push_back(i); });
+    EXPECT_EQ(seen, expected) << "size " << size;
+  }
 }
 
 TEST(Bitfield, ClearResets) {

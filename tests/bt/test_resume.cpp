@@ -313,7 +313,9 @@ TEST(Resume, KillAndRestoreCarriesProgressAndIdentity) {
   EXPECT_GT(mob->stats().resume_restored_pieces, 0u);
   EXPECT_EQ(mob->stats().cold_restarts, 0u);
   for (int p = 0; p < swarm.meta.piece_count(); ++p) {
-    if (mob->store().has_piece(p)) EXPECT_TRUE(verified[static_cast<std::size_t>(p)]);
+    if (mob->store().has_piece(p)) {
+      EXPECT_TRUE(verified[static_cast<std::size_t>(p)]);
+    }
   }
   seed->set_upload_limit(util::Rate::kBps(1e9));
   EXPECT_TRUE(swarm.run_until_complete(mob, 120.0));

@@ -72,8 +72,8 @@ TEST_F(AmFilterTest, EstimateDecaysAfterWindow) {
 TEST_F(AmFilterTest, YoungFlowDecouplesNewAckOnData) {
   auto out = run_egress(tcp_packet(local, remote, 1448, 5000));
   ASSERT_EQ(out.size(), 2u);
-  const auto* ack = out[0].payload_as<tcp::Segment>();
-  const auto* data = out[1].payload_as<tcp::Segment>();
+  const tcp::Segment* ack = out[0].payload.get();
+  const tcp::Segment* data = out[1].payload.get();
   ASSERT_NE(ack, nullptr);
   ASSERT_NE(data, nullptr);
   EXPECT_TRUE(ack->pure_ack());

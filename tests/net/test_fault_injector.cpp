@@ -66,9 +66,15 @@ TEST(FaultPlan, RandomIsDeterministicAndWellFormed) {
   for (const auto& a : plan1.actions) {
     EXPECT_GE(sim::to_seconds(a.at), 5.0);
     EXPECT_LE(sim::to_seconds(a.at), 200.0 * 0.8);
-    if (a.kind == sim::FaultKind::kBerEpisode) EXPECT_EQ(a.target, "c");
-    if (a.kind == sim::FaultKind::kTrackerOutage) EXPECT_TRUE(a.target.empty());
-    if (a.kind == sim::FaultKind::kTrackerBlackout) EXPECT_TRUE(a.target.empty());
+    if (a.kind == sim::FaultKind::kBerEpisode) {
+      EXPECT_EQ(a.target, "c");
+    }
+    if (a.kind == sim::FaultKind::kTrackerOutage) {
+      EXPECT_TRUE(a.target.empty());
+    }
+    if (a.kind == sim::FaultKind::kTrackerBlackout) {
+      EXPECT_TRUE(a.target.empty());
+    }
   }
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "tcp/segment.hpp"
+
 namespace wp2p::net {
 namespace {
 
@@ -57,6 +61,48 @@ TEST(DropTailQueue, ClearEmptiesEverything) {
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.bytes(), 0);
+}
+
+TEST(DropTailQueue, RingKeepsFifoAcrossWrapAndGrowth) {
+  // Interleaved pushes and pops wrap the ring's head around, and pushes past
+  // its size grow it mid-wrap; order, bytes and the limit must not notice.
+  DropTailQueue q{50};
+  std::int64_t next_in = 1, next_out = 1, bytes = 0;
+  for (int round = 0; round < 200; ++round) {
+    const int pushes = 1 + round % 7, pops = round % 5;
+    for (int i = 0; i < pushes; ++i) {
+      const bool room = q.size() < 50;
+      ASSERT_EQ(q.push(make_packet(next_in)), room);
+      if (room) bytes += next_in++;
+    }
+    for (int i = 0; i < pops && !q.empty(); ++i) {
+      const Packet p = q.pop();
+      EXPECT_EQ(p.size, next_out++);
+      bytes -= p.size;
+    }
+    ASSERT_EQ(q.bytes(), bytes);
+    ASSERT_EQ(static_cast<std::int64_t>(q.size()), next_in - next_out);
+    ASSERT_LE(q.size(), 50u);
+  }
+  EXPECT_GT(q.drops(), 0u);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_TRUE(q.push(make_packet(7)));
+  EXPECT_EQ(q.pop().size, 7);
+}
+
+TEST(DropTailQueue, PopAndClearReleasePayloads) {
+  DropTailQueue q{4};
+  const std::shared_ptr<tcp::Segment> seg = tcp::Segment::alloc();
+  for (int i = 0; i < 3; ++i) {
+    Packet p = make_packet(1);
+    p.payload = seg;
+    q.push(std::move(p));
+  }
+  q.pop();
+  EXPECT_EQ(seg.use_count(), 3);
+  q.clear();
+  EXPECT_EQ(seg.use_count(), 1);
 }
 
 }  // namespace
