@@ -377,8 +377,7 @@ void Client::resume() {
       const auto it = std::find_if(peers_.begin(), peers_.end(),
                                    [seq](const auto& p) { return p->seq == seq; });
       if (it == peers_.end() || (*it)->frozen_inbox.empty()) break;
-      const WireMessage msg = std::move((*it)->frozen_inbox.front());
-      (*it)->frozen_inbox.pop_front();
+      const WireMessage msg = (*it)->frozen_inbox.pop_front();
       on_peer_message(**it, msg);
     }
   }
@@ -1110,12 +1109,9 @@ void Client::handle_request(PeerConnection& peer, const WireMessage& msg) {
 }
 
 void Client::handle_cancel(PeerConnection& peer, const WireMessage& msg) {
-  auto& q = peer.upload_queue;
-  q.erase(std::remove_if(q.begin(), q.end(),
-                         [&](const PeerConnection::PendingUpload& u) {
-                           return u.piece == msg.piece && u.offset == msg.offset;
-                         }),
-          q.end());
+  peer.upload_queue.erase_if([&](const PeerConnection::PendingUpload& u) {
+    return u.piece == msg.piece && u.offset == msg.offset;
+  });
   update_pending_upload(peer);
 }
 

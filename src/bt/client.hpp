@@ -276,8 +276,10 @@ class Client {
   void set_choke(PeerConnection& peer, bool choke);
   double unchoke_score(PeerConnection& peer);
 
-  // Upload side.
-  void pump_uploads();
+  // Upload side. Kept out of line: the benchmark's bt.pump_calls is the
+  // gprof call count of this function (perf/README.md), which reads 0 once
+  // the compiler inlines it into its callers.
+  [[gnu::noinline]] void pump_uploads();
   // Keep upload_pending_ in sync after any upload_queue mutation.
   void update_pending_upload(PeerConnection& peer);
   // Adds `delta` to the availability of every piece `pieces` holds.

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <vector>
@@ -19,6 +18,7 @@
 #include "bt/wire.hpp"
 #include "metrics/meters.hpp"
 #include "tcp/connection.hpp"
+#include "util/ring.hpp"
 
 namespace wp2p::bt {
 
@@ -95,14 +95,14 @@ class PeerConnection {
   bool peer_interested = false;
 
   std::vector<Outstanding> outstanding;      // our requests to them
-  std::deque<PendingUpload> upload_queue;    // their requests awaiting service
+  util::Ring<PendingUpload> upload_queue;    // their requests awaiting service
 
   // Small control frames (choke/unchoke/have/bitfield/interest) that arrived
   // while the app was suspended. The OS keeps the socket alive and buffers
   // what fits, so state transitions the remote sent during the nap are not
   // lost — Client::resume() drains this before anything else runs. Bounded
   // (the socket-buffer analogy); bulk frames are never deferred.
-  std::deque<WireMessage> frozen_inbox;
+  util::Ring<WireMessage> frozen_inbox;
 
   std::int64_t downloaded_payload = 0;  // piece bytes received from this peer
   std::int64_t uploaded_payload = 0;    // piece bytes sent to this peer

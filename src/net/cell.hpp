@@ -39,6 +39,7 @@
 
 #include "net/access_link.hpp"
 #include "net/queue.hpp"
+#include "util/ring.hpp"
 #include "util/units.hpp"
 
 namespace wp2p::net {
@@ -212,7 +213,7 @@ class Cell {
     CellLink* link = nullptr;
     DropTailQueue up;             // station transmit buffer
     DropTailQueue down;           // this station's share of the AP buffer
-    std::deque<std::uint64_t> down_seqs;  // arrival seq per queued down packet
+    util::Ring<std::uint64_t> down_seqs;  // arrival seq per queued down packet
     bool attached = false;
   };
 

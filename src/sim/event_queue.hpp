@@ -12,6 +12,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -205,10 +206,17 @@ class EventIndex {
 // --- Calendar queue -----------------------------------------------------------
 
 // Brown's calendar queue (CACM 1988): a ring of power-of-two "day" buckets
-// over a sliding "year" window, with amortised O(1) push and pop, which is
-// what keeps 10k–100k-peer swarms from spending their wall clock on queue
-// maintenance. Stores cancellation tombstones like any other key (the
-// Simulator tells them apart by slot) and sweeps them in bulk with compact().
+// over a sliding "year" window. Push and pop cost amortised O(1) while each
+// day holds a few keys, which is what keeps 10k–100k-peer swarms from spending
+// their wall clock on queue maintenance. Stores cancellation tombstones like
+// any other key (the Simulator tells them apart by slot) and sweeps them in
+// bulk with compact().
+//
+// Keys live in one node pool with a free list. A bucket is a singly linked
+// list of pool nodes sorted by (time, id), with a tail index: a key not
+// before the tail appends in O(1), as every key that ties the tail's time
+// does (ids only grow). Resizes and compactions relink nodes in place, so once
+// the pool has reached the queue's peak no push or pop allocates.
 class CalendarQueue {
  public:
   CalendarQueue() { reset_buckets(kMinBuckets, /*width=*/milliseconds(1.0)); }
@@ -217,8 +225,10 @@ class CalendarQueue {
   std::size_t size() const { return count_; }
 
   void push(const QueueKey& k) {
-    buckets_[bucket_of(k.time)].insert(k);
+    const std::uint32_t n = alloc_node(k);
+    link(buckets_[bucket_of(k.time)], n);
     ++count_;
+    min_located_ = false;
     if (count_ == 1 || k.time < cursor_top_ - width_) {
       // First entry, or an entry scheduled before the dequeue cursor's current
       // window: rewind the cursor so the next min-search cannot skip it.
@@ -227,15 +237,23 @@ class CalendarQueue {
     if (count_ > (mask_ + 1) * 2) resize((mask_ + 1) * 2);
   }
 
+  // Leaves the cursor on the minimum, so a pop_min() with no push in between
+  // does not search again.
   QueueKey min_key() {
     locate_min();
-    return buckets_[cursor_bucket_].front();
+    return key_of(buckets_[cursor_bucket_].head);
   }
 
   QueueKey pop_min() {
     locate_min();
-    const QueueKey k = buckets_[cursor_bucket_].pop_front();
+    Bucket& bucket = buckets_[cursor_bucket_];
+    const std::uint32_t n = bucket.head;
+    const QueueKey k = key_of(n);
+    bucket.head = nodes_[n].next;
+    if (bucket.head == kNil) bucket.tail = kNil;
+    free_node(n);
     --count_;
+    min_located_ = false;
     if (count_ >= kMinBuckets && count_ * 2 < mask_ + 1) resize((mask_ + 1) / 2);
     return k;
   }
@@ -246,15 +264,24 @@ class CalendarQueue {
   void compact(const Keep& keep) {
     count_ = 0;
     for (Bucket& bucket : buckets_) {
-      auto out = bucket.keys.begin();
-      for (auto it = out + static_cast<std::ptrdiff_t>(bucket.head); it != bucket.keys.end();
-           ++it) {
-        if (keep(*it)) *out++ = *it;
+      std::uint32_t n = bucket.head;
+      std::uint32_t last = kNil;  // last kept node
+      bucket.head = kNil;
+      while (n != kNil) {
+        const std::uint32_t next = nodes_[n].next;
+        if (keep(key_of(n))) {
+          (last == kNil ? bucket.head : nodes_[last].next) = n;
+          last = n;
+          ++count_;
+        } else {
+          free_node(n);
+        }
+        n = next;
       }
-      bucket.keys.erase(out, bucket.keys.end());
-      bucket.head = 0;
-      count_ += bucket.keys.size();
+      if (last != kNil) nodes_[last].next = kNil;
+      bucket.tail = last;
     }
+    min_located_ = false;
     if (count_ == 0) return;
     // Keys are gone but the cursor may now sit past the new minimum (its
     // bucket's earlier keys were the survivors' predecessors). Rewind to the
@@ -266,32 +293,74 @@ class CalendarQueue {
  private:
   static constexpr std::size_t kMinBuckets = 16;  // power of two
   static constexpr std::size_t kWidthSample = 64;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
-  // One day's keys, sorted by (time, id) from `head` on. A pop advances
-  // `head` instead of shifting the vector; the popped prefix is reclaimed once
-  // it is half the bucket, so a bucket pinned by one far-future key does not
-  // grow with every near-term key that passes through it.
-  struct Bucket {
-    std::vector<QueueKey> keys;
-    std::size_t head = 0;
-
-    bool empty() const { return head == keys.size(); }
-    const QueueKey& front() const { return keys[head]; }
-
-    QueueKey pop_front() {
-      const QueueKey k = keys[head++];
-      if (2 * head >= keys.size()) {
-        keys.erase(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(head));
-        head = 0;
-      }
-      return k;
-    }
-
-    void insert(const QueueKey& k) {
-      const auto first = keys.begin() + static_cast<std::ptrdiff_t>(head);
-      keys.insert(std::upper_bound(first, keys.end(), k), k);
-    }
+  // A pooled key: the QueueKey's fields plus the index of the next node in
+  // its bucket (or in the free list). 24 bytes, as QueueKey's tail padding
+  // holds `next`.
+  struct Node {
+    SimTime time;
+    EventId id;
+    std::uint32_t slot;
+    std::uint32_t next;
   };
+  static_assert(sizeof(Node) == sizeof(QueueKey));
+
+  struct Bucket {
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+  };
+
+  static bool before(const Node& a, const Node& b) {
+    if (a.time != b.time) return a.time < b.time;
+    return a.id < b.id;
+  }
+
+  QueueKey key_of(std::uint32_t n) const {
+    const Node& node = nodes_[n];
+    return {node.time, node.id, node.slot};
+  }
+
+  std::uint32_t alloc_node(const QueueKey& k) {
+    std::uint32_t n = free_;
+    if (n == kNil) {
+      WP2P_ASSERT_MSG(nodes_.size() < kNil, "calendar queue node pool exhausted");
+      n = static_cast<std::uint32_t>(nodes_.size());
+      nodes_.emplace_back();
+    } else {
+      free_ = nodes_[n].next;
+    }
+    nodes_[n] = {k.time, k.id, k.slot, kNil};
+    return n;
+  }
+
+  void free_node(std::uint32_t n) {
+    nodes_[n].next = free_;
+    free_ = n;
+  }
+
+  // Links node `n` into `bucket` in (time, id) order: after the tail unless
+  // it sorts before it, otherwise after the last node that precedes it.
+  void link(Bucket& bucket, std::uint32_t n) {
+    Node& node = nodes_[n];
+    if (bucket.head == kNil) {
+      node.next = kNil;
+      bucket.head = bucket.tail = n;
+    } else if (!before(node, nodes_[bucket.tail])) {
+      node.next = kNil;
+      nodes_[bucket.tail].next = n;
+      bucket.tail = n;
+    } else if (before(node, nodes_[bucket.head])) {
+      node.next = bucket.head;
+      bucket.head = n;
+    } else {
+      // `node` precedes the tail, so the walk stops before reaching it.
+      std::uint32_t prev = bucket.head;
+      while (!before(node, nodes_[nodes_[prev].next])) prev = nodes_[prev].next;
+      node.next = nodes_[prev].next;
+      nodes_[prev].next = n;
+    }
+  }
 
   std::size_t bucket_of(SimTime t) const {
     return static_cast<std::size_t>(t / width_) & mask_;
@@ -309,90 +378,110 @@ class CalendarQueue {
     cursor_top_ = (t / width_ + 1) * width_;
   }
 
-  // Advance the cursor to the bucket holding the minimum key. Invariant on
-  // entry: no stored key precedes the cursor's current window (push() rewinds
-  // when violated), so the first bucket whose front falls inside the running
-  // window holds the global minimum — same-time ties always share a bucket
-  // and are id-sorted within it.
+  // Advance the cursor to the bucket holding the minimum key, unless it is
+  // there already. Invariant on entry: no stored key precedes the cursor's
+  // current window (push() rewinds when violated), so the first bucket whose
+  // head falls inside the running window holds the global minimum — same-time
+  // ties always share a bucket and are id-sorted within it.
   void locate_min() {
+    if (min_located_) return;
     WP2P_ASSERT_MSG(count_ > 0, "min of an empty calendar queue");
     std::size_t b = cursor_bucket_;
     SimTime top = cursor_top_;
     for (std::size_t i = 0; i <= mask_; ++i) {
-      const Bucket& bucket = buckets_[b];
-      if (!bucket.empty() && bucket.front().time < top) {
+      const std::uint32_t head = buckets_[b].head;
+      if (head != kNil && nodes_[head].time < top) {
         cursor_bucket_ = b;
         cursor_top_ = top;
+        min_located_ = true;
         return;
       }
       b = (b + 1) & mask_;
       top += width_;
     }
     // Sparse year: nothing within a full rotation. Jump straight to the
-    // global minimum front (every bucket's front is its local minimum).
+    // global minimum (every bucket's head is its local minimum).
     set_cursor(scan_min_time());
-    WP2P_ASSERT(!buckets_[cursor_bucket_].empty());
+    WP2P_ASSERT(buckets_[cursor_bucket_].head != kNil);
+    min_located_ = true;
   }
 
   SimTime scan_min_time() const {
-    QueueKey best{kSimTimeMax, ~EventId{0}, 0};
+    SimTime best = kSimTimeMax;
     for (const Bucket& bucket : buckets_) {
-      if (!bucket.empty() && bucket.front() < best) best = bucket.front();
+      if (bucket.head != kNil) best = std::min(best, nodes_[bucket.head].time);
     }
-    return best.time;
+    return best;
   }
 
   void reset_buckets(std::size_t nbuckets, SimTime width) {
-    buckets_.clear();
-    buckets_.resize(nbuckets);
+    buckets_.assign(nbuckets, Bucket{});
     mask_ = nbuckets - 1;
     width_ = std::max<SimTime>(width, 1);
     cursor_bucket_ = 0;
     cursor_top_ = width_;
+    min_located_ = false;
   }
 
-  // Rebuild with `nbuckets` buckets and a width fitted to the current key
-  // spacing. Deterministic: depends only on queue contents.
+  // Rebuild with `nbuckets` buckets and a width fitted to the keys at the
+  // head of the queue. Deterministic: depends only on queue contents.
   void resize(std::size_t nbuckets) {
-    std::vector<QueueKey> all;
-    all.reserve(count_);
+    // Chain every bucket's list into one and note each key's time.
+    std::uint32_t first = kNil;
+    std::uint32_t last = kNil;
     for (const Bucket& bucket : buckets_) {
-      all.insert(all.end(), bucket.keys.begin() + static_cast<std::ptrdiff_t>(bucket.head),
-                 bucket.keys.end());
+      if (bucket.head == kNil) continue;
+      (last == kNil ? first : nodes_[last].next) = bucket.head;
+      last = bucket.tail;
     }
-    reset_buckets(nbuckets, fitted_width(all));
-    for (const QueueKey& k : all) buckets_[bucket_of(k.time)].insert(k);
-    if (count_ > 0) set_cursor(scan_min_time());
+    times_.clear();
+    SimTime min_time = kSimTimeMax;
+    for (std::uint32_t n = first; n != kNil; n = nodes_[n].next) {
+      times_.push_back(nodes_[n].time);
+      min_time = std::min(min_time, nodes_[n].time);
+    }
+    reset_buckets(nbuckets, fitted_width());
+    for (std::uint32_t n = first; n != kNil;) {
+      const std::uint32_t next = nodes_[n].next;
+      link(buckets_[bucket_of(nodes_[n].time)], n);
+      n = next;
+    }
+    if (count_ > 0) set_cursor(min_time);
   }
 
-  // Median inter-event gap over a strided sample — robust against one
-  // far-future keep-alive stretching the mean and collapsing every near-term
-  // event into a single bucket.
-  SimTime fitted_width(const std::vector<QueueKey>& all) const {
-    if (all.size() < 2) return std::max<SimTime>(width_, 1);
-    std::vector<SimTime> times;
-    times.reserve(kWidthSample);
-    const std::size_t stride = std::max<std::size_t>(1, all.size() / kWidthSample);
-    for (std::size_t i = 0; i < all.size(); i += stride) times.push_back(all[i].time);
-    std::sort(times.begin(), times.end());
-    std::vector<SimTime> gaps;
-    gaps.reserve(times.size());
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] != times[i - 1]) gaps.push_back(times[i] - times[i - 1]);
+  // Three times the median non-zero gap between consecutive keys among the
+  // kWidthSample earliest, aiming for ~3 keys per day where the queue pops
+  // next. Far-future keep-alives lie outside the sample by construction, so
+  // they cannot stretch the day and collapse every near-term key into one
+  // bucket. With no gap in the sample (under two keys, or all at one time)
+  // the width stays. Reorders times_.
+  SimTime fitted_width() {
+    const std::size_t k = std::min(times_.size(), kWidthSample);
+    if (k < 2) return width_;
+    const auto head_end = times_.begin() + static_cast<std::ptrdiff_t>(k);
+    std::nth_element(times_.begin(), head_end - 1, times_.end());
+    std::sort(times_.begin(), head_end);
+    std::array<SimTime, kWidthSample> gaps{};
+    std::size_t ngaps = 0;
+    for (std::size_t i = 1; i < k; ++i) {
+      if (times_[i] != times_[i - 1]) gaps[ngaps++] = times_[i] - times_[i - 1];
     }
-    if (gaps.empty()) return 1;  // all sampled events simultaneous
-    std::nth_element(gaps.begin(), gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2),
-                     gaps.end());
-    // Aim for ~3 events per bucket-year so sorted inserts stay tiny.
-    return std::max<SimTime>(1, gaps[gaps.size() / 2] * 3);
+    if (ngaps == 0) return width_;
+    const auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(ngaps / 2);
+    std::nth_element(gaps.begin(), mid, gaps.begin() + static_cast<std::ptrdiff_t>(ngaps));
+    return std::max<SimTime>(1, std::min(*mid, kSimTimeMax / 3) * 3);
   }
 
+  std::vector<Node> nodes_;    // pool: every stored key, plus free nodes
+  std::uint32_t free_ = kNil;  // free list through Node::next
   std::vector<Bucket> buckets_;
+  std::vector<SimTime> times_;  // resize() scratch, kept for its capacity
   std::size_t mask_ = 0;       // bucket count - 1 (power of two)
   SimTime width_ = 1;          // virtual-time span of one bucket-year slot
   std::size_t count_ = 0;      // keys stored, tombstones included
   std::size_t cursor_bucket_ = 0;
   SimTime cursor_top_ = 1;     // exclusive upper bound of the cursor window
+  bool min_located_ = false;   // the cursor bucket's head is the minimum
 };
 
 }  // namespace wp2p::sim

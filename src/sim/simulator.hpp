@@ -84,8 +84,9 @@ class Simulator {
 
   // Execute the next event. Returns false if the queue is empty.
   bool step() {
-    if (!drop_cancelled_head()) return false;
-    fire(queue_.pop_min());
+    const std::optional<QueueKey> k = live_head();
+    if (!k) return false;
+    fire(*k);
     return true;
   }
 
@@ -93,8 +94,8 @@ class Simulator {
   // The clock is left at min(horizon, time of last event) — i.e. reaching the
   // horizon advances the clock to exactly the horizon.
   void run_until(SimTime horizon) {
-    while (drop_cancelled_head() && queue_.min_key().time <= horizon) {
-      fire(queue_.pop_min());
+    for (std::optional<QueueKey> k = live_head(); k && k->time <= horizon; k = live_head()) {
+      fire(*k);
     }
     if (now_ < horizon) now_ = horizon;
   }
@@ -117,22 +118,25 @@ class Simulator {
   // worth rebuilding.
   static constexpr std::size_t kCompactMinEntries = 64;
 
-  // Pop and release cancelled keys at the head. Returns whether a live event
-  // is left to run.
-  bool drop_cancelled_head() {
+  // Pop and release cancelled keys at the head, then return the live head's
+  // key (still queued), or nullopt once none is left. This is the one
+  // min-search per fired event: fire() pops the key it returns without
+  // searching again.
+  std::optional<QueueKey> live_head() {
     while (!queue_.empty()) {
       const QueueKey k = queue_.min_key();
-      if (slab_.live(k.slot)) return true;
+      if (slab_.live(k.slot)) return k;
       queue_.pop_min();
       slab_.release(k.slot);
     }
-    return false;
+    return std::nullopt;
   }
 
-  // Run a live event popped from the queue. The closure runs in place — a
-  // handler may schedule, cancel or grow the slab freely — and is destroyed
-  // once it returns.
+  // Pop and run the live head `k` that live_head() just found. The closure
+  // runs in place — a handler may schedule, cancel or grow the slab freely —
+  // and is destroyed once it returns.
   void fire(const QueueKey& k) {
+    queue_.pop_min();
     index_.take(k.id);
     WP2P_ASSERT(k.time >= now_);
     now_ = k.time;

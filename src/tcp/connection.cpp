@@ -405,7 +405,13 @@ void Connection::emit(std::shared_ptr<Segment> seg) {
 void Connection::process_data(const Segment& seg, bool corrupted) {
   const std::int64_t start = seg.seq;
   const std::int64_t end = seg.seq + seg.logical_len();
-  if (seg.ledger) peer_ledger_ = seg.ledger;
+  if (seg.ledger && seg.ledger != peer_ledger_) {
+    // deliver_ready_messages() trims the ledger as it reads: a second reader
+    // would lose the messages this one erased.
+    WP2P_ASSERT_MSG(seg.ledger->reader == nullptr, "a message ledger has one reader");
+    seg.ledger->reader = this;
+    peer_ledger_ = seg.ledger;
+  }
   if (corrupted && seg.payload > 0 && seg.seq + seg.payload > rcv_nxt_) {
     // The damaged bytes will (now or once the hole fills) be the copy the
     // receiver keeps, so remember the span. Overlap with data already held
@@ -486,8 +492,9 @@ void Connection::deliver_ready_messages() {
   // Work on a copy: a handler may detach (null out) on_message while running,
   // and the executing closure must stay alive through its own invocation.
   auto handler = on_message;
-  while (next_message_ < peer_ledger_->entries.size()) {
-    const auto& entry = peer_ledger_->entries[next_message_];
+  auto& entries = peer_ledger_->entries;
+  while (next_message_ < entries.size()) {
+    const auto& entry = entries[next_message_];
     if (entry.end_offset > rcv_nxt_) break;
     const std::int64_t bytes = entry.end_offset - delivered_offset_;
     const std::int64_t begin = delivered_offset_;
@@ -510,6 +517,12 @@ void Connection::deliver_ready_messages() {
     if (handler) handler(entry.handle, bytes);
     last_message_corrupted_ = false;
     if (state_ == ConnState::kDead) return;
+  }
+  // Erase the delivered prefix once it is half the ledger (amortised O(1) per
+  // message), releasing the handles of messages the app has been given.
+  if (2 * next_message_ >= entries.size()) {
+    entries.erase(entries.begin(), entries.begin() + static_cast<std::ptrdiff_t>(next_message_));
+    next_message_ = 0;
   }
 }
 

@@ -191,7 +191,7 @@ class Connection : public std::enable_shared_from_this<Connection> {
   std::map<std::int64_t, std::int64_t> ooo_;  // out-of-order [start -> end)
   bool remote_fin_seen_ = false;
   std::int64_t remote_fin_seq_ = -1;
-  std::shared_ptr<const MessageLedger> peer_ledger_;
+  std::shared_ptr<MessageLedger> peer_ledger_;  // we are its one reader
   std::size_t next_message_ = 0;       // index into peer ledger
   std::int64_t delivered_offset_ = 0;  // stream offset delivered to the app
   // Stream intervals [begin, end) received from corrupted segments, merged

@@ -17,15 +17,18 @@ namespace wp2p::tcp {
 
 inline constexpr std::int64_t kTcpHeaderBytes = 40;  // IP + TCP headers
 
-// Append-only record of application message boundaries in a stream direction.
-// The receiving endpoint reads boundaries for bytes it has verifiably received
-// in order; this stands in for the framing bytes a real stream would carry.
+// Record of application message boundaries in a stream direction; it stands
+// in for the framing bytes a real stream would carry. The sending endpoint
+// appends. The one receiving endpoint reads boundaries for bytes it has
+// verifiably received in order and erases the prefix it has delivered, so the
+// ledger holds the messages not yet delivered, not every one ever sent.
 struct MessageLedger {
   struct Entry {
     std::int64_t end_offset;  // stream offset one past the message's last byte
     std::shared_ptr<const void> handle;
   };
   std::vector<Entry> entries;
+  const void* reader = nullptr;  // the receiving endpoint, once it has read
 };
 
 struct Segment {
@@ -48,7 +51,7 @@ struct Segment {
   bool dup_hint = false;
   // Simulation metadata (not protocol data): message boundaries of the
   // sender's stream, readable by the receiver for in-order-delivered bytes.
-  std::shared_ptr<const MessageLedger> ledger;
+  std::shared_ptr<MessageLedger> ledger;
 
   bool pure_ack() const { return payload == 0 && !syn && !fin && !rst; }
   // Logical length in sequence space (FIN counts as one unit).

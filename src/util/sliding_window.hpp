@@ -3,9 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 
 #include "util/assert.hpp"
+#include "util/ring.hpp"
 
 namespace wp2p::util {
 
@@ -59,14 +59,13 @@ class WindowedSum {
 
   void evict(std::int64_t now) {
     while (!samples_.empty() && samples_.front().time <= now - window_) {
-      sum_ -= samples_.front().amount;
-      samples_.pop_front();
+      sum_ -= samples_.pop_front().amount;
     }
     if (samples_.empty()) sum_ = 0.0;  // fight fp drift on long runs
   }
 
   std::int64_t window_;
-  std::deque<Sample> samples_;
+  Ring<Sample> samples_;
   double sum_ = 0.0;
   std::int64_t origin_ = 0;  // time of the first sample since construction/clear
   bool has_origin_ = false;

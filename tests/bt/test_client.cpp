@@ -69,7 +69,11 @@ TEST(ClientSwarm, RarestFirstKeepsSeedEfficient) {
   seed->set_upload_limit(util::Rate::kBps(200));
   Swarm::Member* leeches[3];
   for (int i = 0; i < 3; ++i) {
-    leeches[i] = &swarm.add_wired("l" + std::to_string(i), false, fast_config());
+    // Appended, not "l" + to_string(i): GCC 12 at -O3 warns -Wrestrict on
+    // that operator+ (a false positive).
+    std::string name = "l";
+    name += std::to_string(i);
+    leeches[i] = &swarm.add_wired(name, false, fast_config());
   }
   swarm.start_all();
   swarm.run_for(60.0);

@@ -1,5 +1,5 @@
 // sim::CalendarQueue against the binary-heap oracle (binary_heap_queue.hpp):
-// both are driven through one randomized stream of pushes, pops, cancels and
+// both are driven through randomized streams of pushes, pops, cancels and
 // compactions and must agree on every popped key and on their size after
 // every operation.
 #include <gtest/gtest.h>
@@ -17,9 +17,13 @@ namespace {
 
 class QueuePair {
  public:
-  explicit QueuePair(std::uint64_t seed) : rng_{seed} {}
+  // Both queues' minima are compared after every `peek_every`-th operation;
+  // in between, pop_min() runs without a min_key() before it.
+  explicit QueuePair(std::uint64_t seed, unsigned peek_every = 1)
+      : rng_{seed}, peek_every_{peek_every} {}
 
   std::size_t size() const { return heap_.size(); }
+  std::size_t compactions() const { return compactions_; }
 
   // A key at or after the last popped time: same-time ties, near-term keys,
   // and far-future keys that pin their bucket while near keys pass through.
@@ -35,6 +39,30 @@ class QueuePair {
     } else {
       t = now_ + seconds(1000.0) + static_cast<SimTime>(rng_.below(1'000'000'000));
     }
+    push_at(t);
+  }
+
+  // One round shaped like the simulator's workloads: a burst of equal-time
+  // keys; a run of µs-spaced keys, each drawn up to 60 µs before the run's
+  // front, so many land before their bucket's tail; a few far-future timers;
+  // pops; then a cancel-heavy stretch that compacts.
+  void shaped_round() {
+    const SimTime burst = now_ + static_cast<SimTime>(rng_.below(2000));
+    for (int i = 0; i < 40; ++i) push_at(burst);
+    SimTime front = now_ + 60;
+    for (int i = 0; i < 300; ++i) {
+      front += static_cast<SimTime>(rng_.below(20));
+      push_at(std::max(now_, front - static_cast<SimTime>(rng_.below(60))));
+    }
+    for (int i = 0; i < 5; ++i) {
+      push_at(now_ + seconds(1000.0) + static_cast<SimTime>(rng_.below(1'000'000'000)));
+    }
+    for (int i = 0; i < 250; ++i) pop();
+    for (int i = 0; i < 1500; ++i) cancel();
+  }
+
+  void push_at(SimTime t) {
+    ASSERT_GE(t, now_);
     last_pushed_ = t;
     const QueueKey k{t, ++next_id_, static_cast<std::uint32_t>(next_id_ % 977)};
     state_.push_back(kLive);
@@ -71,6 +99,7 @@ class QueuePair {
   }
 
   void compact() {
+    ++compactions_;
     const auto keep = [this](const QueueKey& k) { return state_[k.id] == kLive; };
     cal_.compact(keep);
     heap_.compact(keep);
@@ -99,7 +128,7 @@ class QueuePair {
   void check() {
     ASSERT_EQ(cal_.size(), heap_.size());
     ASSERT_EQ(cal_.empty(), heap_.empty());
-    if (heap_.empty()) return;
+    if (heap_.empty() || ++checks_ % peek_every_ != 0) return;
     const QueueKey want = heap_.min_key();
     const QueueKey got = cal_.min_key();
     ASSERT_EQ(got.time, want.time);
@@ -107,6 +136,9 @@ class QueuePair {
   }
 
   Rng rng_;
+  unsigned peek_every_;
+  unsigned checks_ = 0;
+  std::size_t compactions_ = 0;
   CalendarQueue cal_;
   BinaryHeapQueue heap_;
   std::vector<std::uint8_t> state_{kGone};  // by id; id 0 is never scheduled
@@ -139,6 +171,20 @@ TEST(CalendarQueue, MatchesBinaryHeapOnRandomizedStreams) {
     EXPECT_LT(q.size(), 100u);
     run(4000, /*push_p=*/0.3, /*pop_p=*/0.6);
     drain();
+    if (HasFatalFailure()) return;
+  }
+
+  // Workload-shaped streams. Each starts with 150 keys at one time, so the
+  // ring grows at 33, 65 and 129 keys with every sampled key simultaneous
+  // and the day width must survive it; pop_min() mostly runs unpeeked.
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(testing::Message() << "shaped seed=" << seed);
+    QueuePair q{seed * 0xbf58476d1ce4e5b9ULL, /*peek_every=*/3};
+    for (int i = 0; i < 150 && !HasFatalFailure(); ++i) q.push_at(7);
+    for (int round = 0; round < 40 && !HasFatalFailure(); ++round) q.shaped_round();
+    EXPECT_GT(q.size(), 500u);
+    EXPECT_GT(q.compactions(), 10u);
+    while (q.size() > 0 && !HasFatalFailure()) q.pop();
     if (HasFatalFailure()) return;
   }
 }

@@ -3,6 +3,7 @@
 // response, close semantics, and failure detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -274,6 +275,39 @@ TEST_F(TcpFixture, StatsReconcile) {
   EXPECT_EQ(cs.bytes_retransmitted, 0);
   EXPECT_EQ(cs.bytes_acked, total);
   EXPECT_EQ(server.conn->stats().bytes_delivered, total);
+}
+
+TEST_F(TcpFixture, LedgerKeepsOnlyUndeliveredMessages) {
+  // The stream's message ledger holds each handle until the receiver has
+  // delivered it, not until the connection closes: over 40 rounds of 100
+  // messages the handles still alive never outnumber twice the messages not
+  // yet delivered, and each round, once delivered, leaves none behind.
+  run_for(1.0);
+  std::vector<std::weak_ptr<const int>> sent;
+  std::size_t delivered = 0;
+  server.conn->on_message = [&](const Connection::MessageHandle& h, std::int64_t) {
+    EXPECT_EQ(*std::static_pointer_cast<const int>(h), static_cast<int>(delivered));
+    ++delivered;
+  };
+  const auto alive = [&] {
+    return static_cast<std::size_t>(std::count_if(
+        sent.begin(), sent.end(), [](const std::weak_ptr<const int>& w) { return !w.expired(); }));
+  };
+  for (int round = 0; round < 40; ++round) {
+    for (int i = 0; i < 100; ++i) {
+      auto handle = std::make_shared<const int>(static_cast<int>(sent.size()));
+      sent.push_back(handle);
+      client.conn->send_message(std::move(handle), 1000);
+    }
+    for (int slice = 0; slice < 20; ++slice) {
+      run_for(0.005);
+      ASSERT_LE(alive(), 2 * (sent.size() - delivered)) << "round " << round;
+    }
+    run_for(1.0);
+    ASSERT_EQ(delivered, sent.size());
+    EXPECT_EQ(alive(), 0u) << "round " << round;
+  }
+  EXPECT_TRUE(sent.front().expired());
 }
 
 }  // namespace
