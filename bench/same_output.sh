@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
 # Same-output check for a change that must not alter what the simulator
-# computes. Runs 13 bench commands, each with --runs 1 --jobs 1, on two
-# builds and compares their stdout byte for byte and their exit codes:
+# computes. Runs 13 bench commands, each with --runs 1 --jobs 1, and the five
+# example simulator runs (quickstart, mobile_video, commuter_handoff and the
+# wireless emulator on each examples/scenarios file) on two builds and
+# compares their stdout byte for byte and their exit codes:
 #   bash bench/same_output.sh PARENT_BUILD CHANGE_BUILD
 # The seven commands whose scenarios feed the shared trace session also run
 # with --trace and --check-invariants; their traces (up to a few hundred MB
 # each) are hashed through a pipe, never written to disk, and compared too.
 # Tracing leaves stdout unchanged, so the stdout comparison means the same
-# for every command. Use Release builds of the bench binaries. Prints one
+# for every command. Use Release builds. Prints one
 # line per command and exits non-zero naming the first command that
 # differs. The two builds run side by side, one process each; the sweep
 # takes a few minutes.
@@ -16,25 +18,31 @@ if [[ $# -ne 2 ]]; then
   echo "usage: $0 PARENT_BUILD CHANGE_BUILD" >&2
   exit 2
 fi
-parent="$1/bench"
-change="$2/bench"
+parent="$1"
+change="$2"
+scenarios="$(cd "$(dirname "$0")/../examples/scenarios" && pwd)"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 commands=(
-  "bench_fig2_bitcp"
-  "bench_fig3_incentives"
-  "bench_fig4_mobility"
-  "bench_fig8_am_ia"
-  "bench_fig9_ma"
-  "bench_ablation"
-  "bench_faults"
-  "bench_faults --poison"
-  "bench_faults --blackout"
-  "bench_adversary"
-  "bench_cells"
-  "bench_clustering"
-  "bench_resume"
+  "bench/bench_fig2_bitcp"
+  "bench/bench_fig3_incentives"
+  "bench/bench_fig4_mobility"
+  "bench/bench_fig8_am_ia"
+  "bench/bench_fig9_ma"
+  "bench/bench_ablation"
+  "bench/bench_faults"
+  "bench/bench_faults --poison"
+  "bench/bench_faults --blackout"
+  "bench/bench_adversary"
+  "bench/bench_cells"
+  "bench/bench_clustering"
+  "bench/bench_resume"
+  "examples/quickstart"
+  "examples/mobile_video"
+  "examples/commuter_handoff"
+  "examples/wireless_emulator $scenarios/handoff.scn"
+  "examples/wireless_emulator $scenarios/tunnel.scn"
 )
 traced=" bench_fig2_bitcp bench_fig3_incentives bench_fig4_mobility bench_fig8_am_ia \
 bench_fig9_ma bench_ablation bench_resume "
@@ -44,7 +52,10 @@ bench_fig9_ma bench_ablation bench_resume "
 run() {
   local side="$1" binary="$2"
   shift 2
-  local flags=(--runs 1 --jobs 1)
+  local flags=()
+  if [[ "$binary" == */bench/* ]]; then
+    flags=(--runs 1 --jobs 1)
+  fi
   if [[ "$traced" == *" ${binary##*/} "* ]]; then
     flags+=(--trace /dev/fd/3 --check-invariants)
   fi
@@ -82,7 +93,7 @@ for cmd in "${commands[@]}"; do
     exit 1
   fi
   read -r hash lines < "$out/change.trace"
-  if [[ "$traced" == *" ${argv[0]} "* ]]; then
+  if [[ "$traced" == *" ${argv[0]##*/} "* ]]; then
     if ! cmp -s "$out/parent.trace" "$out/change.trace"; then
       echo "DIFFERS $cmd: trace ($(< "$out/parent.trace") vs $hash $lines)"
       exit 1

@@ -98,12 +98,8 @@ class AdversaryPeer {
   void start();
   void stop();
 
-  AdversaryKind kind() const { return config_.kind; }
   PeerId peer_id() const { return peer_id_; }
   const AdversaryStats& stats() const { return stats_; }
-  std::size_t open_sessions() const {
-    return static_cast<std::size_t>(stats_.sessions_opened - stats_.sessions_closed);
-  }
 
  private:
   struct Session {

@@ -33,9 +33,7 @@ class Bencode {
   Bencode(List v) : value_{std::move(v)} {}               // NOLINT(google-explicit-constructor)
   Bencode(Dict v) : value_{std::move(v)} {}               // NOLINT(google-explicit-constructor)
 
-  bool is_int() const { return std::holds_alternative<std::int64_t>(value_); }
   bool is_string() const { return std::holds_alternative<std::string>(value_); }
-  bool is_list() const { return std::holds_alternative<List>(value_); }
   bool is_dict() const { return std::holds_alternative<Dict>(value_); }
 
   std::int64_t as_int() const { return get<std::int64_t>("integer"); }

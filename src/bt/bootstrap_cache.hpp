@@ -2,10 +2,10 @@
 //
 // The client touches an entry whenever a handshake establishes (and when
 // payload arrives), so the cache always holds the most recently *proven*
-// listen endpoints. It is plain member data on the client — like the piece
-// store it survives stop()/start(), which is exactly the crash/restart path
-// the fault layer exercises — and it is consulted only when every tracker
-// tier is unreachable (see Client::maybe_bootstrap).
+// listen endpoints. It is plain member data of the client's Discovery —
+// like the piece store it survives stop()/start(), which is exactly the
+// crash/restart path the fault layer exercises — and it is consulted only
+// when every tracker tier is unreachable (see Discovery::maybe_bootstrap).
 #pragma once
 
 #include <algorithm>

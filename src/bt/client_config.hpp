@@ -2,8 +2,8 @@
 //
 // Only the knobs some caller sets live here; the fixed numbers of the
 // protocol (ban threshold, enforcement budgets, retry and reconnect shapes,
-// re-initiation delays) are named constants beside their reader in
-// client.cpp.
+// re-initiation delays) are named constants beside their reader: the
+// client or one of its components (discovery, enforcer).
 #pragma once
 
 #include <cstdint>
@@ -88,7 +88,7 @@ struct ClientConfig {
   // --- Protocol enforcement -------------------------------------------------
   // Defenses against actively misbehaving peers (floods, liars, slowloris,
   // garbage frames, PEX spam) are always on; their budgets are constants in
-  // client.cpp. Self-test switch (see TESTING.md): count and trace detections
+  // enforcer.cpp and discovery.cpp. Self-test switch (see TESTING.md): count and trace detections
   // but never drop, cap, or strike. The enforcement invariant rules must flag
   // runs with this set; never enable outside the harness.
   bool unsafe_no_enforcement = false;

@@ -4,7 +4,7 @@
 // protocol state for it: handshake progress, choke/interest flags in both
 // directions, the remote bitfield, our outstanding block requests, their
 // pending upload requests, and rate meters. Protocol *decisions* live in
-// Client; this class holds state and message plumbing.
+// Client and its components; this class holds state and message plumbing.
 #pragma once
 
 #include <array>
@@ -22,7 +22,7 @@
 
 namespace wp2p::bt {
 
-// Categories of protocol-enforcement evidence, in Client's rule-table order.
+// Categories of protocol-enforcement evidence, in Enforcer's rule-table order.
 enum class Offense : std::uint8_t { kFlood, kMalformed, kLiar, kStall, kChurn, kPexSpam };
 inline constexpr std::size_t kOffenseKinds = static_cast<std::size_t>(Offense::kPexSpam) + 1;
 
@@ -56,7 +56,6 @@ class PeerConnection {
   PeerConnection& operator=(const PeerConnection&) = delete;
 
   tcp::Connection& tcp() { return *conn_; }
-  const std::shared_ptr<tcp::Connection>& tcp_ptr() const { return conn_; }
   bool initiator() const { return initiator_; }
   net::Endpoint remote_endpoint() const { return conn_->remote(); }
 
@@ -78,10 +77,8 @@ class PeerConnection {
   }
 
   // --- Wire protocol state ----------------------------------------------------
-  // Admission order at the owning Client (matches peers_ insertion order).
-  // The incremental interested/unchoked sets sort snapshots by this to
-  // reproduce exact peers_-iteration order — and therefore exact message
-  // order and trace hashes — without rescanning peers_.
+  // Admission order at the owning Client (matches peers_ insertion order);
+  // the upload pump finds a peer's index by it.
   std::uint64_t seq = 0;
   bool handshake_sent = false;
   bool handshake_received = false;
@@ -114,11 +111,11 @@ class PeerConnection {
   metrics::ThroughputMeter up_meter;
 
   // PEX delta baseline: the endpoints (and their identities) this peer has
-  // already been told about. Client::send_pex_round diffs the live set
+  // already been told about. Discovery::send_pex_round diffs the live set
   // against this to build added/dropped lists.
   std::map<net::Endpoint, PeerId> pex_sent;
 
-  // --- Enforcement evidence (Client::record_offense scores these) -----------
+  // --- Enforcement evidence (Enforcer::record_offense scores these) ---------
   // Per category: evidence counted (cumulative) and strikes already charged,
   // so each threshold crossing costs exactly one strike (count / threshold
   // beats the charged tally by one → strike).

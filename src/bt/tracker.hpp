@@ -73,7 +73,6 @@ class Tracker {
   // list — exactly how a dead HTTP tracker looks to a client, whose request
   // errors out after a timeout.
   void set_reachable(bool reachable) { reachable_ = reachable; }
-  bool reachable() const { return reachable_; }
 
   // Swarm inspection (test/experiment support; not part of the protocol).
   std::size_t swarm_size(InfoHash hash) const;

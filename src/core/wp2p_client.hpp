@@ -76,7 +76,6 @@ class WP2PClient {
   AmFilter* am() { return am_.get(); }
   LihdController* lihd() { return lihd_.get(); }
   MobilityAwareSelector* ma_selector() { return ma_selector_; }
-  MobilityDetector* detector() { return detector_.get(); }
   const WP2PConfig& config() const { return config_; }
 
  private:

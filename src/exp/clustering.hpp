@@ -17,14 +17,12 @@
 // before the swarm is torn down: hooks hold a pointer to the probe.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bt/client.hpp"
 #include "metrics/transfer_matrix.hpp"
 #include "net/wired_link.hpp"
-#include "trace/recorder.hpp"
 #include "util/units.hpp"
 
 namespace wp2p::exp {
@@ -86,24 +84,6 @@ class ClusteringProbe {
     return row;
   }
 
-  // Periodically emit a kBtMatrixSample trace event with matrix aggregates
-  // (bytes moved, the live overall clustering coefficient). No-op unless a
-  // recorder is installed on the simulator.
-  void enable_sampling(sim::SimTime interval) {
-    sampler_ = std::make_unique<sim::PeriodicTask>(*sim_, interval, [this] {
-      std::int64_t uploaded = 0;
-      for (std::size_t r = 0; r < matrix_.rows(); ++r) {
-        uploaded += matrix_.total_uploaded(static_cast<int>(r));
-      }
-      WP2P_TRACE(*sim_, trace::event(trace::Component::kBt, trace::Kind::kBtMatrixSample)
-                            .at("probe")
-                            .with("rows", static_cast<double>(matrix_.rows()))
-                            .with("uploaded", static_cast<double>(uploaded))
-                            .with("coeff", matrix_.overall_coefficient()));
-    });
-    sampler_->start();
-  }
-
   // Freeze one tracked client's outgoing accounting and close its open
   // unchoke intervals — call at its completion: affinity is a leech-phase
   // quantity, and a completed peer's seeding behaviour would dilute it.
@@ -156,7 +136,6 @@ class ClusteringProbe {
   sim::Simulator* sim_;
   metrics::TransferMatrix matrix_;
   std::vector<Tracked> tracked_;
-  std::unique_ptr<sim::PeriodicTask> sampler_;
 };
 
 }  // namespace wp2p::exp

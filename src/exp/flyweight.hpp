@@ -136,9 +136,6 @@ class FlyweightSwarm {
     for (const Peer& peer : peers_) n += peer.have->all() ? 1 : 0;
     return n;
   }
-  std::size_t open_sessions() const {
-    return static_cast<std::size_t>(stats_.sessions_accepted - stats_.sessions_closed);
-  }
   const Stats& stats() const { return stats_; }
 
  private:

@@ -56,7 +56,6 @@ class Histogram {
   }
 
   std::uint64_t bucket_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t buckets() const { return counts_.size(); }
   double bucket_lo(std::size_t i) const {
     return lo_ + static_cast<double>(i) * bucket_width();
   }

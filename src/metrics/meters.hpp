@@ -29,7 +29,6 @@ class ThroughputMeter {
   }
 
   std::int64_t total() const { return total_; }
-  void reset_window() { sum_.clear(); }
 
  private:
   util::WindowedSum sum_;

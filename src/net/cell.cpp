@@ -479,23 +479,6 @@ void RoamingModel::add_suspend(double at_s, std::string node, double duration_s)
       Step{sim::seconds(at_s + duration_s), std::move(node), kNextCell, StepKind::kResume});
 }
 
-void RoamingModel::battery(const std::vector<std::string>& nodes, double interval_s,
-                           double duration_s, double horizon_s, std::uint64_t seed) {
-  WP2P_ASSERT(!started_ && interval_s > 0.0 && duration_s > 0.0);
-  // Distinct stream from commute() so a node can follow both patterns from
-  // one seed without the schedules correlating.
-  sim::Rng rng{seed ^ 0x9e3779b97f4a7c15ULL};
-  for (const std::string& name : nodes) {
-    double t = rng.uniform(0.25, 1.0) * interval_s;
-    while (t < horizon_s) {
-      steps_.push_back(Step{sim::seconds(t), name, kNextCell, StepKind::kSuspend});
-      steps_.push_back(
-          Step{sim::seconds(t + duration_s), name, kNextCell, StepKind::kResume});
-      t += interval_s * rng.uniform(0.7, 1.3);
-    }
-  }
-}
-
 void RoamingModel::start() {
   WP2P_ASSERT(!started_);
   started_ = true;

@@ -325,12 +325,6 @@ class RoamingModel {
   // on_power means power steps fire into the void (counted, not executed).
   void add_suspend(double at_s, std::string node, double duration_s);
 
-  // Battery pattern: every listed node suspends for `duration_s` roughly
-  // every `interval_s` seconds (same jitter/phase discipline as commute()).
-  // Mirrors a commuter pocketing the phone between cells.
-  void battery(const std::vector<std::string>& nodes, double interval_s, double duration_s,
-               double horizon_s, std::uint64_t seed);
-
   // node name, suspend=true to freeze / false to thaw.
   std::function<void(const std::string& node, bool suspend)> on_power;
 

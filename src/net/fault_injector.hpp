@@ -66,7 +66,6 @@ class FaultInjector {
   // Without a bound topology those kinds count as skipped.
   void bind_cells(CellularTopology* cells) { cells_ = cells; }
 
-  const sim::FaultPlan& plan() const { return plan_; }
   const FaultInjectorStats& stats() const { return stats_; }
   // Faults currently in force (brackets opened but not yet closed).
   int active_faults() const { return active_; }

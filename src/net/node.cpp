@@ -42,7 +42,6 @@ void Node::send(Packet pkt) {
 
 void Node::deliver(Packet pkt) {
   if (!connected_) return;
-  ++delivered_packets_;
   if (ingress_filters_.empty()) {
     if (sink_ != nullptr) sink_->receive(pkt);
     return;

@@ -59,7 +59,6 @@ class Node {
 
   // Counters ------------------------------------------------------------------
   std::uint64_t sent_packets() const { return sent_packets_; }
-  std::uint64_t delivered_packets() const { return delivered_packets_; }
   std::uint64_t address_changes() const { return address_changes_; }
 
  private:
@@ -90,7 +89,6 @@ class Node {
   FilterScratch egress_;
   FilterScratch ingress_;
   std::uint64_t sent_packets_ = 0;
-  std::uint64_t delivered_packets_ = 0;
   std::uint64_t address_changes_ = 0;
 };
 

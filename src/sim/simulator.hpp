@@ -196,16 +196,11 @@ class PeriodicTask {
   }
 
   bool running() const { return running_; }
-  void set_interval(SimTime interval) {
-    WP2P_ASSERT(interval > 0);
-    interval_ = interval;
-  }
-  SimTime interval() const { return interval_; }
 
  private:
   void fire() {
     if (!running_) return;
-    // Re-arm before the callback so the callback may stop() or re-interval.
+    // Re-arm before the callback so the callback may stop().
     event_ = sim_.after(interval_, [this] { fire(); });
     callback_();
   }

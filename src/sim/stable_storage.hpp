@@ -139,7 +139,6 @@ class StableStorage {
   // At-rest rot: piece `i`'s stored bytes silently decayed on the medium.
   void rot_piece(int piece) { rotted_.insert(piece); }
   bool piece_intact(int piece) const { return rotted_.count(piece) == 0; }
-  std::size_t rotted_pieces() const { return rotted_.size(); }
 
   const Stats& stats() const { return stats_; }
   std::size_t journal_size() const { return journal_.size(); }

@@ -5,13 +5,10 @@
 #include "tcp/stack.hpp"
 #include "trace/recorder.hpp"
 #include "util/assert.hpp"
-#include "util/logging.hpp"
 
 namespace wp2p::tcp {
 
 namespace {
-constexpr const char* kLog = "tcp";
-
 constexpr std::int64_t kMss = 1448;               // payload bytes per full segment
 constexpr std::int64_t kInitCwndSegments = 2;     // RFC 3390-era initial window
 constexpr std::int64_t kInitSsthresh = 64 * 1024;  // bytes (classic BSD initial ssthresh)
@@ -108,9 +105,6 @@ void Connection::fail(CloseReason reason) {
   stack_.connection_dead(*this);
   WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpClose, stack_, trace_key())
                        .why(to_string(reason)));
-  WP2P_LOG(util::LogLevel::kDebug, sim::to_seconds(sim_.now()), kLog, "%s -> %s closed: %s",
-           net::to_string(local_).c_str(), net::to_string(remote_).c_str(),
-           to_string(reason));
   // Move the callback out first: the handler may detach/replace our callbacks
   // while it runs, which must not destroy the closure being executed.
   auto closed_cb = std::move(on_closed);

@@ -104,7 +104,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   // Consecutive RTO expiries without forward progress. Nonzero means the
   // remote has stopped ACKing — the signature of a silently dead peer.
   int rto_backoff() const { return backoff_; }
-  sim::SimTime smoothed_rtt() const { return srtt_; }
 
   // --- Driven by the Stack ---------------------------------------------------
   void start_connect();                       // active open: send SYN
@@ -148,7 +147,6 @@ class Connection : public std::enable_shared_from_this<Connection> {
   void trace_cwnd(const char* cause);  // kTcpCwnd trace point
   std::string_view trace_key();        // "local>remote", built on first use
   std::int64_t fin_seq() const { return app_end_; }
-  bool fin_queued() const { return fin_pending_; }
 
   Stack& stack_;
   sim::Simulator& sim_;

@@ -47,7 +47,6 @@ class Stack final : public net::PacketSink {
   void send_segment(net::Endpoint src, net::Endpoint dst, std::shared_ptr<Segment> seg);
   void connection_dead(Connection& conn);
 
-  std::size_t open_connections() const { return connections_.size(); }
   std::uint64_t rsts_sent() const { return rsts_sent_; }
 
   // If set, called whenever a new connection is accepted or fails — useful

@@ -47,7 +47,6 @@ class RingBufferSink final : public Sink {
     return out;
   }
   std::uint64_t evicted() const { return evicted_; }
-  std::size_t capacity() const { return capacity_; }
   void clear() {
     slots_.clear();
     oldest_ = 0;

@@ -96,8 +96,6 @@ enum class Kind : std::uint8_t {
   kCellServe,    // downlink scheduler picked a station; aux = policy, qlen field
   kCellDeliver,  // downlink frame delivered through a cell to its station
 
-  kBtMatrixSample,  // periodic transfer-matrix snapshot (clustering probe)
-
   kBtFloodDetect,  // request-quota overflow detected; count/limit fields
   kBtMalformed,    // malformed wire frame rejected; count/limit fields
   kBtLiarDetect,   // bitfield/have liar evidence recorded; count/limit fields
@@ -181,7 +179,6 @@ inline constexpr KindSchema kKinds[] = {
     {Kind::kCellRoam, "cell.roam", Component::kCell, {"from", "to"}},
     {Kind::kCellServe, "cell.serve", Component::kCell, {"cell", "qlen"}},
     {Kind::kCellDeliver, "cell.deliver", Component::kCell, {"cell", "size"}},
-    {Kind::kBtMatrixSample, "bt.matrix", Component::kBt, {"rows", "uploaded", "coeff"}},
     {Kind::kBtFloodDetect, "bt.flood", Component::kBt, {"peer_id", "count", "limit"}},
     {Kind::kBtMalformed, "bt.malformed", Component::kBt, {"peer_id", "count", "limit"}},
     {Kind::kBtLiarDetect, "bt.liar", Component::kBt, {"peer_id", "count", "limit"}},

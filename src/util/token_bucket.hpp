@@ -39,11 +39,6 @@ class TokenBucket {
     return static_cast<sim::SimTime>(deficit / rate_.bytes_per_sec() * 1e6) + 1;
   }
 
-  double tokens(sim::SimTime now) {
-    refill(now);
-    return tokens_;
-  }
-
  private:
   void refill(sim::SimTime now) {
     if (now <= last_) return;

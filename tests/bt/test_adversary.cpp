@@ -165,7 +165,7 @@ TEST(Adversary, MobilityGraceShieldsRoamingPeerFromEnforcement) {
   swarm.run_for(5.0);
   EXPECT_EQ(mob->peer_id(), mob_id);  // identity retained
   EXPECT_GE(seed->stats().grace_grants, 1u);
-  EXPECT_TRUE(seed->mobility_grace_active(mob_id));
+  EXPECT_TRUE(seed->enforcer().in_grace(mob_id));
 
   // Long after the dust settles: the clean mobile was never struck or banned.
   ASSERT_TRUE(swarm.run_until_complete(mob, 300.0));

@@ -88,7 +88,7 @@ TEST(Discovery, FailoverRegistersOnBackupThenFailsBackToPrimary) {
   EXPECT_EQ(swarm.tracker.swarm_size(swarm.meta.info_hash), 0u);
   EXPECT_EQ(backup.swarm_size(swarm.meta.info_hash), 2u);
   EXPECT_GE(leech->stats().tracker_failovers, 1u);
-  EXPECT_EQ(leech->tracker_cursor(), 1u);
+  EXPECT_EQ(leech->discovery().tracker_cursor(), 1u);
   ASSERT_TRUE(swarm.run_until_complete(leech, 60.0));
   // The backup answered, so discovery was never dark: no cache dials.
   EXPECT_EQ(leech->stats().bootstrap_dials, 0u);
@@ -98,7 +98,7 @@ TEST(Discovery, FailoverRegistersOnBackupThenFailsBackToPrimary) {
   swarm.tracker.set_reachable(true);
   swarm.run_for(25.0);
   EXPECT_GE(leech->stats().tracker_failbacks, 1u);
-  EXPECT_EQ(leech->tracker_cursor(), 0u);
+  EXPECT_EQ(leech->discovery().tracker_cursor(), 0u);
   EXPECT_GE(swarm.tracker.swarm_size(swarm.meta.info_hash), 1u);
 }
 
@@ -112,12 +112,12 @@ TEST(Discovery, FirstResponsiveBackupIsPromotedToItsTierHead) {
   swarm.start_all();
 
   swarm.run_for(30.0);
-  ASSERT_EQ(solo->tracker_count(), 3u);
+  ASSERT_EQ(solo->discovery().tracker_count(), 3u);
   EXPECT_GE(solo->stats().tracker_failovers, 2u);
   EXPECT_EQ(tr2.swarm_size(swarm.meta.info_hash), 1u);
   // tr2 served and was promoted past tr1 to the head of tier 1 (slot 1), so
   // the next failover cycle tries it before the dead backup.
-  EXPECT_EQ(solo->tracker_cursor(), 1u);
+  EXPECT_EQ(solo->discovery().tracker_cursor(), 1u);
 }
 
 TEST(Discovery, PexGossipBridgesPeersTheTrackerNeverIntroduced) {
@@ -178,7 +178,7 @@ TEST(Discovery, PexPropagatesPostHandoffAddressWhileTrackersDark) {
 
   swarm.run_for(12.0);
   ASSERT_FALSE(m->complete());
-  ASSERT_GE(m->bootstrap_cache().size(), 1u);
+  ASSERT_GE(m->discovery().bootstrap_cache().size(), 1u);
   ASSERT_EQ(c->peer_count(), 1u);
   const PeerId m_id = m->peer_id();
   const auto c_learned_before = c->stats().pex_peers_learned;
@@ -224,7 +224,7 @@ TEST(Discovery, PexEntryWithBannedIdentityIsNeverLearnedOrDialed) {
   const PeerId venom_id = ban_venom(swarm, venom, leech);
 
   // The ban scrubbed venom from the bootstrap cache as well.
-  for (const auto& entry : leech->bootstrap_cache().entries()) {
+  for (const auto& entry : leech->discovery().bootstrap_cache().entries()) {
     EXPECT_NE(entry.peer_id, venom_id);
   }
 
@@ -343,14 +343,14 @@ TEST(Discovery, BootstrapCacheSurvivesCrashAndRedialsWhenTrackersDark) {
   swarm.start_all();
   swarm.run_for(8.0);
   ASSERT_FALSE(leech->complete());
-  ASSERT_GE(leech->bootstrap_cache().size(), 1u);
+  ASSERT_GE(leech->discovery().bootstrap_cache().size(), 1u);
 
   // Crash, and the world goes dark while the client is down.
   leech->stop();
   swarm.tracker.set_reachable(false);
   swarm.run_for(2.0);
   // The cache is member data, like the piece store: it survived the crash.
-  ASSERT_GE(leech->bootstrap_cache().size(), 1u);
+  ASSERT_GE(leech->discovery().bootstrap_cache().size(), 1u);
 
   leech->start();
   swarm.run_for(15.0);
@@ -381,7 +381,7 @@ TEST(Discovery, BootstrapRedialsAfterRoamIntoDarkCell) {
   swarm.start_all();
   swarm.run_for(8.0);
   ASSERT_FALSE(m->complete());
-  ASSERT_GE(m->bootstrap_cache().size(), 1u);
+  ASSERT_GE(m->discovery().bootstrap_cache().size(), 1u);
   const PeerId m_id = m->peer_id();
 
   swarm.tracker.set_reachable(false);

@@ -454,8 +454,8 @@ TEST(Resume, RestoreAfterLongSuspendPrunesStaleBootstrapEndpoints) {
 
   mob->attach_resume(store);
   mob->start();
-  ASSERT_EQ(mob->bootstrap_cache().size(), 1u);
-  EXPECT_EQ(mob->bootstrap_cache().entries()[0].peer_id, 0xbbbu);
+  ASSERT_EQ(mob->discovery().bootstrap_cache().size(), 1u);
+  EXPECT_EQ(mob->discovery().bootstrap_cache().entries()[0].peer_id, 0xbbbu);
   EXPECT_EQ(mob->peer_id(), 0x777u);
 }
 

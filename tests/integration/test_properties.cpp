@@ -120,11 +120,11 @@ TEST_P(SeedSweep, HandoffsNeverWedgeTheDownload) {
 // --- Choker: incremental sets match a from-scratch recompute ---------------------
 
 TEST_P(SeedSweep, ChokerIncrementalSetsConsistentUnderChurn) {
-  // The choker maintains interested/unchoked/pending-upload sets
-  // incrementally (updated at each state edge, never rebuilt). Under rate
-  // churn, connectivity blackouts (drops, timeouts, reconnect storms), and a
-  // poisoning peer that gets struck and banned mid-run, the maintained sets
-  // must stay identical to a from-scratch recompute over peers_.
+  // The client maintains the seq mirror of peers_ and the upload pump's
+  // pending-upload set incrementally (updated at each state edge, never
+  // rebuilt). Under rate churn, connectivity blackouts (drops, timeouts,
+  // reconnect storms), and a poisoning peer that gets struck and banned
+  // mid-run, both must stay identical to a from-scratch recompute over peers_.
   const std::uint64_t seed = GetParam();
   auto meta = bt::Metainfo::create("f", 6 * 1024 * 1024, 256 * 1024, "tr", seed + 500);
   Swarm swarm{seed + 500, meta};
