@@ -239,54 +239,14 @@ inline void print_runner_summary() {
                r.speedup());
 }
 
-// A population of fixed (wired) peers forming the remote side of a swarm.
-struct FixedPeers {
-  int seeds = 2;
-  int leechers = 8;
-  util::Rate seed_upload = util::Rate::kBps(100.0);
-  util::Rate leech_upload = util::Rate::kBps(80.0);
-  net::WiredParams link{};  // default: 10 Mbps symmetric
-  bt::ClientConfig base{};
-};
-
-inline void add_fixed_peers(exp::Swarm& swarm, const FixedPeers& spec) {
-  for (int i = 0; i < spec.seeds; ++i) {
-    bt::ClientConfig config = spec.base;
-    config.upload_limit = spec.seed_upload;
-    swarm.add_wired("seed" + std::to_string(i), /*is_seed=*/true, config, spec.link);
-  }
-  for (int i = 0; i < spec.leechers; ++i) {
-    bt::ClientConfig config = spec.base;
-    config.upload_limit = spec.leech_upload;
-    swarm.add_wired("leech" + std::to_string(i), /*is_seed=*/false, config, spec.link);
-  }
-}
-
-// Under --faults, overlay a seed-randomized background fault schedule on an
-// already-built swarm (call after all members are added, before start_all).
-// Returns the owning injector, or null when --faults is off — keep it alive
-// for the duration of the run. The plan derives from the run's seed, so a
-// faulted sweep is exactly as reproducible as a clean one.
-inline std::unique_ptr<net::FaultInjector> apply_bench_faults(exp::Swarm& swarm,
-                                                              std::uint64_t seed,
-                                                              double horizon_s) {
-  if (!options().faults) return nullptr;
-  std::vector<std::string> targets;
-  std::vector<std::string> wireless;
-  for (auto& member : swarm.members) {
-    targets.push_back(member.host->node->name());
-    if (member.host->wireless() != nullptr) wireless.push_back(targets.back());
-  }
-  sim::Rng rng{seed ^ 0xfa0175c1a0b5e27dULL};
-  sim::FaultPlan plan =
-      sim::FaultPlan::random(rng, targets, wireless, horizon_s, /*max_actions=*/4);
-  return exp::bind_faults(swarm, std::move(plan));
-}
-
-// World-level variant for benches that assemble hosts and clients by hand.
-// Network faults (flaps, BER, storms, duplication/reorder) apply in full;
-// tracker outages flip `tracker` if given; peer-crash windows only sever the
-// link (there is no registry mapping nodes to clients here).
+// Under --faults, overlay a seed-randomized background fault schedule on the
+// world's hosts (call after all hosts are added, before the run). Returns
+// the owning injector, or null when --faults is off — keep it alive for the
+// duration of the run. The plan derives from the run's seed, so a faulted
+// sweep is exactly as reproducible as a clean one. Network faults (flaps,
+// BER, storms, duplication/reorder) apply in full; tracker outages flip
+// `tracker` if given; peer-crash windows only sever the link (there is no
+// registry mapping nodes to clients here).
 inline std::unique_ptr<net::FaultInjector> apply_bench_faults(exp::World& world,
                                                               bt::Tracker* tracker,
                                                               std::uint64_t seed,

@@ -1,5 +1,6 @@
-# Runs one bench command line and checks how it ends (the flag-parser tests
-# in CMakeLists.txt):
+# Runs one command line and checks how it ends (the bench flag-parser tests
+# in bench/CMakeLists.txt and the hostile-scenario tests in
+# examples/CMakeLists.txt):
 #
 #   cmake -DBIN=<binary> "-DARGS=<flags>" -DCODE=<exit code>
 #         -DSTREAM=<stdout|stderr> -DTEXT=<expected substring> -P expect_cli.cmake

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Same-output check for a change that must not alter what the simulator
-# computes. Runs 13 bench commands, each with --runs 1 --jobs 1, and the five
-# example simulator runs (quickstart, mobile_video, commuter_handoff and the
-# wireless emulator on each examples/scenarios file) on two builds and
-# compares their stdout byte for byte and their exit codes:
+# computes. Runs 13 bench commands, each with --runs 1 --jobs 1, and the six
+# example simulator runs (quickstart, mobile_video, commuter_handoff, and the
+# wireless emulator on its built-in demo and on each examples/scenarios file)
+# on two builds and compares their stdout byte for byte and their exit codes:
 #   bash bench/same_output.sh PARENT_BUILD CHANGE_BUILD
 # The seven commands whose scenarios feed the shared trace session also run
 # with --trace and --check-invariants; their traces (up to a few hundred MB
@@ -41,6 +41,7 @@ commands=(
   "examples/quickstart"
   "examples/mobile_video"
   "examples/commuter_handoff"
+  "examples/wireless_emulator"
   "examples/wireless_emulator $scenarios/handoff.scn"
   "examples/wireless_emulator $scenarios/tunnel.scn"
 )

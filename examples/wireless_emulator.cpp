@@ -10,23 +10,25 @@
 //   seed <n>                                     deterministic RNG seed
 //   file <size> [piece <size>]                   sizes accept KB/MB suffixes
 //   host <name> wired|wireless seed|leech|wp2p [key=value ...]
-//        keys: up, down, capacity (rates, e.g. 100KBps or 4Mbps),
-//              ber (e.g. 1e-5), preload (0..1), slots, announce (seconds)
+//        keys: uplimit (rate, e.g. 100KBps, 384Kbps or 4Mbps), preload
+//              (0..1), slots, announce (seconds); wired hosts also up and
+//              down (rates), wireless hosts capacity (rate) and ber (e.g. 1e-5)
 //   mobility <name> every <seconds>              periodic IP change
 //   disconnect <name> at <seconds>               one-shot link loss
 //   reconnect <name> at <seconds>
 //   run <seconds> [report <seconds>]
+// A spec that breaks the grammar exits 1 with "scenario error: line N: ...".
 #include <cstdio>
 #include <fstream>
-#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <vector>
 
 #include "core/wp2p_client.hpp"
 #include "exp/world.hpp"
 #include "media/playability.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -37,46 +39,76 @@ using namespace wp2p;
   std::exit(1);
 }
 
-std::int64_t parse_size(std::string token) {
+// Bounds that keep every value representable: simulator times are int64
+// microseconds and piece indices are ints.
+constexpr double kMaxSeconds = 1e9;
+constexpr double kMaxBytes = 1e12;
+constexpr std::int64_t kMaxPieces = 1 << 20;
+
+// Whole-token readers: nullopt unless the token is one value in range.
+std::optional<std::int64_t> parse_size(std::string_view token) {
   double multiplier = 1.0;
-  if (token.size() > 2 && (token.ends_with("MB") || token.ends_with("mb"))) {
+  if (token.ends_with("MB") || token.ends_with("mb")) {
     multiplier = 1e6;
-    token.resize(token.size() - 2);
-  } else if (token.size() > 2 && (token.ends_with("KB") || token.ends_with("kb"))) {
+    token.remove_suffix(2);
+  } else if (token.ends_with("KB") || token.ends_with("kb")) {
     multiplier = 1e3;
-    token.resize(token.size() - 2);
+    token.remove_suffix(2);
   }
-  return static_cast<std::int64_t>(std::stod(token) * multiplier);
+  const auto v = util::parse_double(token);
+  if (!v || *v * multiplier < 1.0 || *v * multiplier > kMaxBytes) return std::nullopt;
+  return static_cast<std::int64_t>(*v * multiplier);
 }
 
-util::Rate parse_rate(std::string token) {
+std::optional<util::Rate> parse_rate(std::string_view token) {
+  util::Rate (*unit)(double) = nullptr;
   if (token.ends_with("KBps")) {
-    return util::Rate::kBps(std::stod(token.substr(0, token.size() - 4)));
+    unit = util::Rate::kBps;
+  } else if (token.ends_with("Mbps")) {
+    unit = util::Rate::mbps;
+  } else if (token.ends_with("Kbps") || token.ends_with("kbps")) {
+    unit = util::Rate::kbps;
+  } else {
+    return std::nullopt;
   }
-  if (token.ends_with("Mbps")) {
-    return util::Rate::mbps(std::stod(token.substr(0, token.size() - 4)));
-  }
-  if (token.ends_with("Kbps") || token.ends_with("kbps")) {
-    return util::Rate::kbps(std::stod(token.substr(0, token.size() - 4)));
-  }
-  fail("unknown rate: " + token + " (use e.g. 100KBps, 384Kbps, 4Mbps)");
+  token.remove_suffix(4);
+  const auto v = util::parse_double(token);
+  if (!v || *v <= 0.0 || unit(*v) > util::Rate::unlimited()) return std::nullopt;
+  return unit(*v);
+}
+
+// Seconds in [0, kMaxSeconds]; an interval must also last at least one
+// simulator tick.
+std::optional<double> parse_seconds(std::string_view token, bool interval) {
+  const auto v = util::parse_double(token);
+  if (!v || *v < 0.0 || *v > kMaxSeconds) return std::nullopt;
+  if (interval && sim::seconds(*v) <= 0) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_fraction(std::string_view token, bool allow_one) {
+  const auto v = util::parse_double(token);
+  if (!v || *v < 0.0 || *v > 1.0 || (!allow_one && *v == 1.0)) return std::nullopt;
+  return v;
 }
 
 struct HostSpec {
   std::string name;
   bool wireless = false;
   enum class Role { kSeed, kLeech, kWp2p } role = Role::kLeech;
-  std::map<std::string, std::string> options;
+  std::optional<util::Rate> up, down, capacity, uplimit;
+  std::optional<double> ber, preload, announce_seconds;
+  std::optional<int> slots;
 };
 
 struct Event {
   double at_seconds = 0.0;
-  std::string action;  // "disconnect" | "reconnect"
-  std::string host;
+  bool connect = false;  // reconnect, else disconnect
+  std::size_t host = 0;  // index into Scenario::hosts
 };
 
 struct Mobility {
-  std::string host;
+  std::size_t host = 0;  // index into Scenario::hosts
   double interval_seconds = 0.0;
 };
 
@@ -91,39 +123,105 @@ struct Scenario {
   double report_seconds = 30.0;
 };
 
+// Applies one key=value option to `host`, accepting only the keys its link
+// type uses. Returns what is wrong with the option, or an empty string.
+std::string apply_option(HostSpec& host, std::string_view key, std::string_view value) {
+  const std::string text{value};
+  auto rate = [&](std::optional<util::Rate>& out) -> std::string {
+    out = parse_rate(value);
+    return out ? "" : "bad rate: " + text + " (use e.g. 100KBps, 384Kbps, 4Mbps)";
+  };
+  if (key == "uplimit") return rate(host.uplimit);
+  if (key == "preload") {
+    host.preload = parse_fraction(value, /*allow_one=*/true);
+    return host.preload ? "" : "preload must be in [0, 1]: " + text;
+  }
+  if (key == "slots") {
+    const auto v = util::parse_u64(value);
+    if (!v || *v > 1000) return "slots must be an integer in [0, 1000]: " + text;
+    host.slots = static_cast<int>(*v);
+    return "";
+  }
+  if (key == "announce") {
+    host.announce_seconds = parse_seconds(value, /*interval=*/true);
+    return host.announce_seconds ? "" : "announce must be seconds >= 0.000001: " + text;
+  }
+  if (!host.wireless && key == "up") return rate(host.up);
+  if (!host.wireless && key == "down") return rate(host.down);
+  if (host.wireless && key == "capacity") return rate(host.capacity);
+  if (host.wireless && key == "ber") {
+    host.ber = parse_fraction(value, /*allow_one=*/false);
+    return host.ber ? "" : "ber must be in [0, 1): " + text;
+  }
+  return "key '" + std::string{key} + "' is not one a " +
+         (host.wireless ? "wireless" : "wired") + " host uses";
+}
+
 Scenario parse(std::istream& in) {
   Scenario scenario;
   std::string line;
   int line_no = 0;
+  int file_line = 0;
   while (std::getline(in, line)) {
     ++line_no;
     if (auto hash = line.find('#'); hash != std::string::npos) line.resize(hash);
     std::istringstream ss{line};
     std::string cmd;
     if (!(ss >> cmd)) continue;
+    auto bad = [&](const std::string& message) {
+      fail("line " + std::to_string(line_no) + ": " + message);
+    };
     auto want = [&](const char* what) -> std::string {
       std::string token;
-      if (!(ss >> token)) fail(std::string{"line "} + std::to_string(line_no) +
-                               ": expected " + what);
+      if (!(ss >> token)) bad(std::string{"expected "} + what);
       return token;
     };
+    auto seconds = [&](const char* what, bool interval) {
+      const std::string token = want(what);
+      const auto v = parse_seconds(token, interval);
+      const char* rule = interval ? " must be seconds >= 0.000001: " : " must be seconds >= 0: ";
+      if (!v) bad(what + std::string{rule} + token);
+      return *v;
+    };
+    auto size = [&](const char* what) {
+      const std::string token = want(what);
+      const auto v = parse_size(token);
+      if (!v) bad(std::string{what} + " must be a byte count >= 1 (KB/MB suffixes allowed): " +
+                  token);
+      return *v;
+    };
+    auto known_host = [&](const char* what) {
+      const std::string name = want(what);
+      for (std::size_t i = 0; i < scenario.hosts.size(); ++i) {
+        if (scenario.hosts[i].name == name) return i;
+      }
+      bad("unknown host: " + name + " (declare it with 'host' first)");
+      return std::size_t{0};
+    };
     if (cmd == "seed") {
-      scenario.seed = std::stoull(want("seed value"));
+      const std::string token = want("seed value");
+      const auto v = util::parse_u64(token);
+      if (!v) bad("seed must be an unsigned integer: " + token);
+      scenario.seed = *v;
     } else if (cmd == "file") {
-      scenario.file_size = parse_size(want("file size"));
+      file_line = line_no;
+      scenario.file_size = size("file size");
       std::string kw;
       if (ss >> kw) {
-        if (kw != "piece") fail("expected 'piece'");
-        scenario.piece_size = parse_size(want("piece size"));
+        if (kw != "piece") bad("expected 'piece'");
+        scenario.piece_size = size("piece size");
       }
     } else if (cmd == "host") {
       HostSpec host;
       host.name = want("host name");
+      for (const HostSpec& h : scenario.hosts) {
+        if (h.name == host.name) bad("duplicate host: " + host.name);
+      }
       const std::string link = want("link type");
       if (link == "wireless") {
         host.wireless = true;
       } else if (link != "wired") {
-        fail("link must be wired|wireless: " + link);
+        bad("link must be wired|wireless: " + link);
       }
       const std::string role = want("role");
       if (role == "seed") {
@@ -133,40 +231,47 @@ Scenario parse(std::istream& in) {
       } else if (role == "wp2p") {
         host.role = HostSpec::Role::kWp2p;
       } else {
-        fail("role must be seed|leech|wp2p: " + role);
+        bad("role must be seed|leech|wp2p: " + role);
       }
       std::string opt;
       while (ss >> opt) {
-        auto eq = opt.find('=');
-        if (eq == std::string::npos) fail("option must be key=value: " + opt);
-        host.options[opt.substr(0, eq)] = opt.substr(eq + 1);
+        const auto eq = opt.find('=');
+        if (eq == std::string::npos || eq == 0) bad("option must be key=value: " + opt);
+        const std::string error = apply_option(host, std::string_view{opt}.substr(0, eq),
+                                               std::string_view{opt}.substr(eq + 1));
+        if (!error.empty()) bad(error);
       }
       scenario.hosts.push_back(std::move(host));
     } else if (cmd == "mobility") {
       Mobility m;
-      m.host = want("host name");
-      if (want("'every'") != "every") fail("expected 'every'");
-      m.interval_seconds = std::stod(want("interval"));
+      m.host = known_host("host name");
+      if (want("'every'") != "every") bad("expected 'every'");
+      m.interval_seconds = seconds("mobility interval", /*interval=*/true);
       scenario.mobility.push_back(std::move(m));
     } else if (cmd == "disconnect" || cmd == "reconnect") {
       Event event;
-      event.action = cmd;
-      event.host = want("host name");
-      if (want("'at'") != "at") fail("expected 'at'");
-      event.at_seconds = std::stod(want("time"));
+      event.connect = cmd == "reconnect";
+      event.host = known_host("host name");
+      if (want("'at'") != "at") bad("expected 'at'");
+      event.at_seconds = seconds("event time", /*interval=*/false);
       scenario.events.push_back(std::move(event));
     } else if (cmd == "run") {
-      scenario.run_seconds = std::stod(want("duration"));
+      scenario.run_seconds = seconds("run duration", /*interval=*/false);
       std::string kw;
       if (ss >> kw) {
-        if (kw != "report") fail("expected 'report'");
-        scenario.report_seconds = std::stod(want("report interval"));
+        if (kw != "report") bad("expected 'report'");
+        scenario.report_seconds = seconds("report interval", /*interval=*/true);
       }
     } else {
-      fail("unknown directive: " + cmd);
+      bad("unknown directive: " + cmd);
     }
+    if (std::string extra; ss >> extra) bad("unexpected '" + extra + "'");
   }
   if (scenario.hosts.empty()) fail("no hosts declared");
+  if ((scenario.file_size + scenario.piece_size - 1) / scenario.piece_size > kMaxPieces) {
+    fail("line " + std::to_string(file_line) + ": the file has more than " +
+         std::to_string(kMaxPieces) + " pieces");
+  }
   return scenario;
 }
 
@@ -192,26 +297,21 @@ void run(const Scenario& scenario) {
   for (const HostSpec& spec : scenario.hosts) {
     auto running = std::make_unique<RunningHost>();
     running->name = spec.name;
-    auto opt = [&](const char* key) -> const std::string* {
-      auto it = spec.options.find(key);
-      return it == spec.options.end() ? nullptr : &it->second;
-    };
     if (spec.wireless) {
       net::WirelessParams wless;
-      if (const auto* v = opt("capacity")) wless.capacity = parse_rate(*v);
-      if (const auto* v = opt("ber")) wless.bit_error_rate = std::stod(*v);
+      if (spec.capacity) wless.capacity = *spec.capacity;
+      if (spec.ber) wless.bit_error_rate = *spec.ber;
       running->host = &world.add_wireless_host(spec.name, wless);
     } else {
       net::WiredParams wired;
-      if (const auto* v = opt("up")) wired.up_capacity = parse_rate(*v);
-      if (const auto* v = opt("down")) wired.down_capacity = parse_rate(*v);
+      if (spec.up) wired.up_capacity = *spec.up;
+      if (spec.down) wired.down_capacity = *spec.down;
       running->host = &world.add_wired_host(spec.name, wired);
     }
     bt::ClientConfig config;
-    config.announce_interval = sim::seconds(60.0);
-    if (const auto* v = opt("announce")) config.announce_interval = sim::seconds(std::stod(*v));
-    if (const auto* v = opt("slots")) config.unchoke_slots = std::stoi(*v);
-    if (const auto* v = opt("uplimit")) config.upload_limit = parse_rate(*v);
+    config.announce_interval = sim::seconds(spec.announce_seconds.value_or(60.0));
+    if (spec.slots) config.unchoke_slots = *spec.slots;
+    if (spec.uplimit) config.upload_limit = *spec.uplimit;
     const bool is_seed = spec.role == HostSpec::Role::kSeed;
     if (spec.role == HostSpec::Role::kWp2p) {
       core::WP2PConfig wcfg;
@@ -222,16 +322,9 @@ void run(const Scenario& scenario) {
       running->plain = std::make_unique<bt::Client>(
           *running->host->node, *running->host->stack, tracker, meta, config, is_seed);
     }
-    if (const auto* v = opt("preload")) running->client().preload(std::stod(*v));
+    if (spec.preload) running->client().preload(*spec.preload);
     hosts.push_back(std::move(running));
   }
-
-  auto find_host = [&](const std::string& name) -> RunningHost& {
-    for (auto& h : hosts) {
-      if (h->name == name) return *h;
-    }
-    fail("unknown host: " + name);
-  };
 
   // Start clients, arm mobility and one-shot events.
   for (auto& h : hosts) {
@@ -243,17 +336,16 @@ void run(const Scenario& scenario) {
   }
   std::vector<std::unique_ptr<sim::PeriodicTask>> mobility_tasks;
   for (const Mobility& m : scenario.mobility) {
-    net::Node* node = find_host(m.host).host->node;
+    net::Node* node = hosts[m.host]->host->node;
     auto task = std::make_unique<sim::PeriodicTask>(
         world.sim, sim::seconds(m.interval_seconds), [node] { node->change_address(); });
     task->start();
     mobility_tasks.push_back(std::move(task));
   }
   for (const Event& event : scenario.events) {
-    net::Node* node = find_host(event.host).host->node;
-    const bool connect = event.action == "reconnect";
+    net::Node* node = hosts[event.host]->host->node;
     world.sim.at(sim::seconds(event.at_seconds),
-                 [node, connect] { node->set_connected(connect); });
+                 [node, connect = event.connect] { node->set_connected(connect); });
   }
 
   // Run with periodic reports.
@@ -304,19 +396,14 @@ run 600 report 60
 }  // namespace
 
 int main(int argc, char** argv) {
-  try {
-    if (argc > 1) {
-      std::ifstream in{argv[1]};
-      if (!in) fail(std::string{"cannot open "} + argv[1]);
-      run(parse(in));
-    } else {
-      std::printf("(no scenario file given: running the built-in demo)\n\n");
-      std::istringstream in{kDemoScenario};
-      run(parse(in));
-    }
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "error: %s\n", e.what());
-    return 1;
+  if (argc > 1) {
+    std::ifstream in{argv[1]};
+    if (!in) fail(std::string{"cannot open "} + argv[1]);
+    run(parse(in));
+  } else {
+    std::printf("(no scenario file given: running the built-in demo)\n\n");
+    std::istringstream in{kDemoScenario};
+    run(parse(in));
   }
   return 0;
 }

@@ -121,7 +121,6 @@ void AdversaryPeer::stop() {
     s->conn->on_message = nullptr;
     s->conn->on_closed = nullptr;
     s->conn->abort();
-    ++stats_.sessions_closed;
   }
 }
 
@@ -160,7 +159,6 @@ void AdversaryPeer::dial(net::Endpoint remote) {
 }
 
 void AdversaryPeer::adopt(std::shared_ptr<tcp::Connection> conn, bool initiator) {
-  ++stats_.sessions_opened;
   sessions_.push_back(std::make_unique<Session>());
   Session* s = sessions_.back().get();
   s->conn = std::move(conn);
@@ -177,7 +175,6 @@ void AdversaryPeer::adopt(std::shared_ptr<tcp::Connection> conn, bool initiator)
 }
 
 void AdversaryPeer::close_session(Session& s) {
-  ++stats_.sessions_closed;
   s.conn->on_connected = nullptr;
   s.conn->on_message = nullptr;
   s.conn->on_closed = nullptr;
@@ -247,7 +244,6 @@ void AdversaryPeer::on_message(Session& s, const WireMessage& msg) {
 }
 
 void AdversaryPeer::handle_request(Session& s, const WireMessage& msg) {
-  ++stats_.requests_received;
   if (msg.piece < 0 || msg.piece >= meta_.piece_count()) return;
   switch (config_.kind) {
     case AdversaryKind::kLiar:

@@ -74,9 +74,6 @@ struct AdversaryConfig {
 };
 
 struct AdversaryStats {
-  std::uint64_t sessions_opened = 0;
-  std::uint64_t sessions_closed = 0;
-  std::uint64_t requests_received = 0;
   std::uint64_t requests_withheld = 0;  // dropped by liar/withholder/slowloris
   std::uint64_t requests_sent = 0;      // flooder outbound
   std::uint64_t garbage_sent = 0;       // malformed frames emitted

@@ -52,12 +52,10 @@ class BootstrapCache {
                    entries_.end());
   }
 
-  // Drops entries whose last proof of life is older than `ttl` at `now`
-  // (ttl <= 0 disables aging). A resume after a long suspend prunes before
-  // dialing, so a stale cell's addresses are never re-dialed. Returns the
-  // number of entries dropped.
+  // Drops entries whose last proof of life is older than `ttl` at `now`. A
+  // resume after a long suspend prunes before dialing, so a stale cell's
+  // addresses are never re-dialed. Returns the number of entries dropped.
   std::size_t prune(sim::SimTime now, sim::SimTime ttl) {
-    if (ttl <= 0) return 0;
     const std::size_t before = entries_.size();
     entries_.erase(std::remove_if(entries_.begin(), entries_.end(),
                                   [&](const Entry& e) { return now - e.last_good > ttl; }),

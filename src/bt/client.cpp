@@ -9,6 +9,18 @@
 namespace wp2p::bt {
 
 namespace {
+// The choker re-ranks its tit-for-tat slots this often.
+constexpr sim::SimTime kChokeInterval = sim::seconds(10.0);
+// A block requested this long ago with no data is re-queued to other peers
+// ("the peer selection algorithm chooses an alternate peer", Section 3.5),
+// and the peer that let it expire is snubbed: it earns no reciprocation
+// until it delivers a block again.
+constexpr sim::SimTime kRequestTimeout = sim::seconds(60.0);
+// Keep-alives flow on connections idle this long; a connection on which
+// nothing has been *received* for kIdleTimeout is presumed dead and closed
+// (dead peers otherwise leak connection slots forever after hand-offs).
+constexpr sim::SimTime kKeepaliveInterval = sim::seconds(100.0);
+constexpr sim::SimTime kIdleTimeout = sim::minutes(4.0);
 constexpr sim::SimTime kCreditHalfLife = sim::minutes(10.0);
 constexpr std::int64_t kMaxTcpBacklog = 128 * 1024;  // per-peer TCP send buffering cap
 constexpr sim::SimTime kUploadPumpInterval = sim::milliseconds(50.0);
@@ -44,12 +56,11 @@ Client::Client(net::Node& node, tcp::Stack& stack, Tracker& tracker, const Metai
       enforcer_{ctx_, [this](PeerId id) { on_ban(id); }},
       discovery_{ctx_, tracker, enforcer_, [this](net::Endpoint remote) { connect_to(remote); }},
       pipeline_{ctx_, enforcer_},
-      choke_task_{sim_, config.choke_interval, [this] { run_choke_round(); }},
+      choke_task_{sim_, kChokeInterval, [this] { run_choke_round(); }},
       optimistic_task_{sim_, config.optimistic_interval, [this] { rotate_optimistic(); }},
       timeout_task_{sim_, sim::seconds(10.0), [this] { periodic_maintenance(); }},
       upload_pump_task_{sim_, kUploadPumpInterval, [this] { pump_uploads(); }},
-      checkpoint_task_{sim_, std::max<sim::SimTime>(1, config.resume_checkpoint_interval),
-                       [this] { write_checkpoint(); }} {
+      checkpoint_task_{sim_, config.resume_checkpoint_interval, [this] { write_checkpoint(); }} {
   peer_id_ = rng_.next_u64() | 1;  // nonzero
   if (start_as_seed) store_.mark_all();
 }
@@ -131,9 +142,7 @@ void Client::start_tasks() {
   timeout_task_.start();
   upload_pump_task_.start();
   discovery_.start_pex();
-  if (resume_store_ != nullptr && config_.resume_checkpoint_interval > 0) {
-    checkpoint_task_.start();
-  }
+  if (resume_store_ != nullptr) checkpoint_task_.start();
 }
 
 void Client::halt_tasks() {
@@ -671,24 +680,23 @@ void Client::periodic_maintenance() {
   std::vector<PeerConnection*> idle_victims;
   for (auto& peer : peers_) {
     const std::vector<int> timed_out =
-        pipeline_.expire_requests(*peer, now - config_.request_timeout);
+        pipeline_.expire_requests(*peer, now - kRequestTimeout);
     requeued = requeued || !timed_out.empty();
     enforcer_.note_timeouts(*peer, timed_out);
     if (!peer->app_established()) {
       // Handshake never completed (dead dial): let the idle timeout reap it.
-      if (now - peer->last_received_at > config_.idle_timeout) {
+      if (now - peer->last_received_at > kIdleTimeout) {
         idle_victims.push_back(peer.get());
       }
       continue;
     }
     // Keep-alives preserve healthy idle connections...
-    if (config_.keepalive_interval > 0 &&
-        now - peer->last_sent_at > config_.keepalive_interval) {
+    if (now - peer->last_sent_at > kKeepaliveInterval) {
       peer->send(WireMessage::simple(MsgType::kKeepAlive));
     }
     // ...and the idle timeout reaps connections whose remote end is gone
     // (e.g. blackholed by a hand-off) before they leak slots forever.
-    if (config_.idle_timeout > 0 && now - peer->last_received_at > config_.idle_timeout) {
+    if (now - peer->last_received_at > kIdleTimeout) {
       idle_victims.push_back(peer.get());
     }
     enforcer_.audit_stall(*peer);

@@ -13,14 +13,27 @@ constexpr sim::SimTime kAnnounceRetryInitial = sim::seconds(2.0);
 // drawn from the client's own RNG stream (deterministic per seed).
 constexpr double kAnnounceRetryJitter = 0.25;
 
-// Reconnect backoff doubles from reconnect_initial up to this cap, and gives
-// up on an endpoint after this many dials.
+// Reconnect backoff doubles from kReconnectInitial up to kReconnectCap, and
+// gives up on an endpoint after kReconnectMaxAttempts dials.
+constexpr sim::SimTime kReconnectInitial = sim::seconds(2.0);
 constexpr sim::SimTime kReconnectCap = sim::seconds(60.0);
 constexpr int kReconnectMaxAttempts = 4;
+
+// While announces go to a backup tracker, the primary is probed this often
+// so announces fail back to it once it answers again.
+constexpr sim::SimTime kTrackerProbeInterval = sim::seconds(60.0);
+
+// PEX rounds run this often, and each recipient hears at most one delta per
+// interval (BEP 11's rate limit).
+constexpr sim::SimTime kPexInterval = sim::seconds(30.0);
 
 // Bootstrap cache capacity, and the least time between two cache re-dials.
 constexpr std::size_t kBootstrapCacheSize = 16;
 constexpr sim::SimTime kBootstrapMinInterval = sim::seconds(30.0);
+// Bootstrap-cache entries older than this are dropped on restore and on
+// every bootstrap dial, so a resume after a long suspend doesn't re-dial a
+// stale cell's addresses.
+constexpr sim::SimTime kBootstrapEntryTtl = sim::minutes(30.0);
 
 // PEX endpoint sanity: one sender gets to introduce at most this many unique
 // endpoints; anything beyond is filtered before it can poison the
@@ -42,9 +55,21 @@ Discovery::Discovery(const ClientContext& ctx, Tracker& primary, Enforcer& enfor
       trackers_{primary},
       announce_task_{ctx.sim, ctx.config.announce_interval,
                      [this] { announce(AnnounceEvent::kInterval); }},
-      pex_task_{ctx.sim, ctx.config.pex_interval, [this] { send_pex_round(); }},
-      probe_task_{ctx.sim, ctx.config.tracker_probe_interval, [this] { probe_primary(); }},
+      pex_task_{ctx.sim, kPexInterval, [this] { send_pex_round(); }},
+      probe_task_{ctx.sim, kTrackerProbeInterval, [this] { probe_primary(); }},
       bootstrap_{kBootstrapCacheSize} {}
+
+void Discovery::start_pex() {
+  if (!ctx_.config.pex) return;
+  const double frac = static_cast<double>((ctx_.peer_id >> 16) & 0xffff) / 65535.0;
+  pex_task_.start_after(
+      static_cast<sim::SimTime>((0.25 + 0.75 * frac) * static_cast<double>(kPexInterval)));
+}
+
+void Discovery::restore(const ResumeSnapshot& snap) {
+  for (const BootstrapCache::Entry& e : snap.bootstrap) bootstrap_.restore(e);
+  bootstrap_.prune(ctx_.sim.now(), kBootstrapEntryTtl);
+}
 
 void Discovery::halt() {
   announce_task_.stop();
@@ -204,7 +229,7 @@ void Discovery::send_pex_round() {
     const net::Endpoint* listen = listen_endpoint(peer->remote_id);
     const net::Endpoint to = listen != nullptr ? *listen : peer->remote_endpoint();
     if (auto it = pex_last_sent_.find(to);
-        it != pex_last_sent_.end() && ctx_.sim.now() - it->second < ctx_.config.pex_interval) {
+        it != pex_last_sent_.end() && ctx_.sim.now() - it->second < kPexInterval) {
       continue;
     }
     std::vector<PexPeer> added;
@@ -220,7 +245,7 @@ void Discovery::send_pex_round() {
                              .with("peer_id", static_cast<double>(peer->remote_id & 0xffffffffu))
                              .with("added", static_cast<double>(added.size()))
                              .with("dropped", static_cast<double>(dropped.size()))
-                             .with("interval_s", sim::to_seconds(ctx_.config.pex_interval)));
+                             .with("interval_s", sim::to_seconds(kPexInterval)));
     for ([[maybe_unused]] const PexPeer& entry : added) {
       WP2P_TRACE(ctx_.sim, ctx_.event(trace::Kind::kBtPexEntry)
                                .on(net::to_string(to))
@@ -288,7 +313,7 @@ void Discovery::maybe_bootstrap() {
   // suspend these are a stale cell's addresses, not live peers. Existing
   // scenarios run far shorter than the default TTL, so this only bites when
   // real time has actually passed.
-  bootstrap_.prune(now, ctx_.config.bootstrap_entry_ttl);
+  bootstrap_.prune(now, kBootstrapEntryTtl);
   const net::Endpoint self = ctx_.self();
   int dialed = 0;
   const auto& entries = bootstrap_.entries();
@@ -314,9 +339,8 @@ void Discovery::consider_reconnect(net::Endpoint remote,
   ReconnectState& state = reconnects_[remote];
   if (state.event != sim::kInvalidEventId) return;  // a dial is already pending
   if (state.attempts >= kReconnectMaxAttempts) return;
-  state.backoff = state.attempts == 0
-                      ? std::min(ctx_.config.reconnect_initial, kReconnectCap)
-                      : std::min(state.backoff * 2, kReconnectCap);
+  state.backoff =
+      state.attempts == 0 ? kReconnectInitial : std::min(state.backoff * 2, kReconnectCap);
   ++state.attempts;
   ++ctx_.stats.reconnect_attempts;
   WP2P_TRACE(ctx_.sim, ctx_.event(trace::Kind::kBtReconnect)

@@ -49,12 +49,7 @@ class Discovery {
   }
   // Periodic PEX rounds, if PEX is on, from a phase derived from the peer-id
   // rather than a fresh RNG draw: enabling PEX leaves the RNG stream alone.
-  void start_pex() {
-    if (!ctx_.config.pex) return;
-    const double frac = static_cast<double>((ctx_.peer_id >> 16) & 0xffff) / 65535.0;
-    pex_task_.start_after(static_cast<sim::SimTime>(
-        (0.25 + 0.75 * frac) * static_cast<double>(ctx_.config.pex_interval)));
-  }
+  void start_pex();
   // Stops all of the above, the probe, the pending retry and every reconnect
   // dial. The chain's base and attempt survive: a crash during an outage
   // must not shrink the backoff on restart.
@@ -115,10 +110,7 @@ class Discovery {
   void save(ResumeSnapshot& snap) const { snap.bootstrap = bootstrap_.entries(); }
   // Entries that went stale across a suspend (an old cell's addresses) are
   // dropped before anything can dial them.
-  void restore(const ResumeSnapshot& snap) {
-    for (const BootstrapCache::Entry& e : snap.bootstrap) bootstrap_.restore(e);
-    bootstrap_.prune(ctx_.sim.now(), ctx_.config.bootstrap_entry_ttl);
-  }
+  void restore(const ResumeSnapshot& snap);
 
   // Visible for tests.
   std::size_t tracker_count() const { return trackers_.size(); }

@@ -206,7 +206,6 @@ std::uint64_t ResumeStore::save(const ResumeSnapshot& snapshot,
 }
 
 std::optional<ResumeStore::Loaded> ResumeStore::load() {
-  ++stats_.loads;
   sim::StableStorage::LoadResult result = storage_.load();
   if (!result.record) {
     ++stats_.load_failures;

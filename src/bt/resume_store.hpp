@@ -53,7 +53,6 @@ class ResumeStore {
  public:
   struct Stats {
     std::uint64_t saves = 0;
-    std::uint64_t loads = 0;
     std::uint64_t load_failures = 0;  // journal empty/rejected or wrong torrent
   };
 

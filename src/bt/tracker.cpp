@@ -9,6 +9,7 @@ constexpr sim::SimTime kRpcLatency = sim::milliseconds(150.0);  // one round tri
 // How long an announce to an unreachable tracker takes to fail at the
 // client (connection timeout), so failure is never instantaneous.
 constexpr sim::SimTime kFailureLatency = sim::seconds(3.0);
+constexpr sim::SimTime kPeerTtl = sim::minutes(45.0);  // entries expire without refresh
 }  // namespace
 
 void Tracker::announce(const AnnounceRequest& request, AnnounceCallback callback) {
@@ -55,11 +56,11 @@ void Tracker::expire(Swarm& swarm) {
   // so they sweep at most every ttl/8 and readers skip stale entries lazily
   // in the meantime (select_peers and the inspection helpers filter by TTL).
   if (swarm.entries.size() >= kAmortizedSweepThreshold && swarm.last_sweep >= 0 &&
-      now - swarm.last_sweep < config_.peer_ttl / 8) {
+      now - swarm.last_sweep < kPeerTtl / 8) {
     return;
   }
   swarm.last_sweep = now;
-  const sim::SimTime cutoff = now - config_.peer_ttl;
+  const sim::SimTime cutoff = now - kPeerTtl;
   for (auto it = swarm.entries.begin(); it != swarm.entries.end();) {
     if (it->second.refreshed < cutoff) {
       it = swarm.entries.erase(it);
@@ -72,7 +73,7 @@ void Tracker::expire(Swarm& swarm) {
 std::vector<TrackerPeerInfo> Tracker::select_peers(const Swarm& swarm, PeerId requester) {
   // refreshed >= cutoff is a no-op right after an eager sweep (the sweep just
   // erased everything below it), so small swarms see the exact legacy list.
-  const sim::SimTime cutoff = sim_.now() - config_.peer_ttl;
+  const sim::SimTime cutoff = sim_.now() - kPeerTtl;
   std::vector<TrackerPeerInfo> all;
   all.reserve(swarm.entries.size());
   for (const auto& [id, entry] : swarm.entries) {
@@ -95,7 +96,7 @@ std::vector<TrackerPeerInfo> Tracker::select_peers(const Swarm& swarm, PeerId re
 std::size_t Tracker::swarm_size(InfoHash hash) const {
   auto it = swarms_.find(hash);
   if (it == swarms_.end()) return 0;
-  const sim::SimTime cutoff = sim_.now() - config_.peer_ttl;
+  const sim::SimTime cutoff = sim_.now() - kPeerTtl;
   return static_cast<std::size_t>(
       std::count_if(it->second.entries.begin(), it->second.entries.end(),
                     [&](const auto& kv) { return kv.second.refreshed >= cutoff; }));
@@ -104,7 +105,7 @@ std::size_t Tracker::swarm_size(InfoHash hash) const {
 std::size_t Tracker::seed_count(InfoHash hash) const {
   auto it = swarms_.find(hash);
   if (it == swarms_.end()) return 0;
-  const sim::SimTime cutoff = sim_.now() - config_.peer_ttl;
+  const sim::SimTime cutoff = sim_.now() - kPeerTtl;
   std::size_t n = 0;
   for (const auto& [id, entry] : it->second.entries) {
     n += (entry.info.seed && entry.refreshed >= cutoff) ? 1 : 0;

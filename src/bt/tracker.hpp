@@ -35,7 +35,6 @@ struct AnnounceRequest {
 
 struct TrackerConfig {
   int max_peers_returned = 50;  // the usual tracker response size (Section 3.2)
-  sim::SimTime peer_ttl = sim::minutes(45.0);  // entries expire without refresh
 };
 
 // Outcome of one announce, delivered asynchronously to the announcer. `ok`
@@ -77,8 +76,6 @@ class Tracker {
   // Swarm inspection (test/experiment support; not part of the protocol).
   std::size_t swarm_size(InfoHash hash) const;
   std::size_t seed_count(InfoHash hash) const;
-  std::uint64_t announces() const { return stats_.announces; }
-  std::uint64_t dropped_announces() const { return stats_.dropped_announces; }
   const TrackerStats& stats() const { return stats_; }
 
  private:

@@ -109,7 +109,6 @@ void AmFilter::egress(net::Packet pkt, std::vector<net::Packet>& out) {
   }
 
   // Data segment.
-  ++stats_.data_packets_seen;
   const bool new_ack_info = seg->ack > f.last_egress_ack;
   f.last_egress_ack = std::max(f.last_egress_ack, seg->ack);
   if (new_ack_info && config_.decouple_acks && young(f)) {

@@ -34,7 +34,6 @@ struct AmConfig {
 };
 
 struct AmStats {
-  std::uint64_t data_packets_seen = 0;
   std::uint64_t acks_decoupled = 0;   // extra pure ACKs injected
   std::uint64_t dupacks_seen = 0;
   std::uint64_t dupacks_dropped = 0;

@@ -27,18 +27,19 @@ struct LihdConfig {
   util::Rate alpha = util::Rate::kBps(10.0);  // linear increment (paper: 10 KBps)
   util::Rate beta = util::Rate::kBps(10.0);   // decrement base (paper: 10 KBps)
   util::Rate max_upload = util::Rate::kBps(200.0);  // Umax (physical budget)
-  util::Rate min_upload = util::Rate::kBps(5.0);    // never fully mute tit-for-tat
-  sim::SimTime interval = sim::seconds(5.0);        // window-averaged update period
 };
 
 class LihdController {
  public:
+  static constexpr util::Rate kMinUpload = util::Rate::kBps(5.0);  // never fully mute tit-for-tat
+  static constexpr sim::SimTime kInterval = sim::seconds(5.0);  // window-averaged update period
+
   LihdController(sim::Simulator& sim, bt::Client& client, LihdConfig config = {})
       : sim_{sim},
         client_{client},
         config_{config},
         current_{config.max_upload * 0.5},
-        task_{sim, config.interval, [this] { update(); }} {}
+        task_{sim, kInterval, [this] { update(); }} {}
 
   void start() {
     client_.set_upload_limit(current_);
@@ -63,12 +64,12 @@ class LihdController {
         // History-based (increasingly aggressive) decrease. Note the paper's
         // rule treats d_prev == d_cur — e.g. both pegged at link capacity —
         // as "no improvement", so a saturated download walks the limit down
-        // until the min_upload clamp catches it (see tests/core/test_lihd).
+        // until the kMinUpload clamp catches it (see tests/core/test_lihd).
         ++dec_count_;
         current_ = current_ - config_.beta * static_cast<double>(dec_count_);
         decision = "decrease";
       }
-      current_ = std::clamp(current_, config_.min_upload, config_.max_upload);
+      current_ = std::clamp(current_, kMinUpload, config_.max_upload);
     }
     WP2P_TRACE(sim_, trace::event(trace::Component::kLihd, trace::Kind::kLihdStep)
                          .at(client_.node().name())
@@ -77,7 +78,7 @@ class LihdController {
                          .with("d_cur", d_cur.bytes_per_sec())
                          .with("d_prev", d_prev_.bytes_per_sec())
                          .with("dec_count", static_cast<double>(dec_count_))
-                         .with("min", config_.min_upload.bytes_per_sec())
+                         .with("min", kMinUpload.bytes_per_sec())
                          .with("max", config_.max_upload.bytes_per_sec()));
     d_prev_ = d_cur;
     return current_;

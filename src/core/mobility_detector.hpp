@@ -16,21 +16,15 @@
 
 namespace wp2p::core {
 
-struct MobilityDetectorConfig {
-  sim::SimTime sample_interval = sim::seconds(5.0);
-  // Consecutive zero-peer samples required before declaring mobility; > 1
-  // avoids false positives during brief reconnect races.
-  int confirm_samples = 2;
-};
-
 class MobilityDetector {
  public:
-  MobilityDetector(sim::Simulator& sim, bt::Client& client,
-                   MobilityDetectorConfig config = {})
-      : sim_{sim},
-        client_{client},
-        config_{config},
-        task_{sim, config.sample_interval, [this] { sample(); }} {}
+  static constexpr sim::SimTime kSampleInterval = sim::seconds(5.0);
+  // Consecutive zero-peer samples required before declaring mobility; > 1
+  // avoids false positives during brief reconnect races.
+  static constexpr int kConfirmSamples = 2;
+
+  MobilityDetector(sim::Simulator& sim, bt::Client& client)
+      : sim_{sim}, client_{client}, task_{sim, kSampleInterval, [this] { sample(); }} {}
 
   void start() { task_.start(); }
   void stop() { task_.stop(); }
@@ -46,23 +40,20 @@ class MobilityDetector {
       return;
     }
     if (!had_peers_) return;  // never had a swarm to lose
-    if (++zero_streak_ < config_.confirm_samples) return;
+    if (++zero_streak_ < kConfirmSamples) return;
     ++detections_;
     had_peers_ = false;
     zero_streak_ = 0;
     WP2P_TRACE(sim_, trace::event(trace::Component::kMob, trace::Kind::kMobDetect)
                          .at(client_.node().name())
                          .with("detections", static_cast<double>(detections_))
-                         .with("confirm_samples",
-                               static_cast<double>(config_.confirm_samples))
-                         .with("interval_us",
-                               static_cast<double>(config_.sample_interval)));
+                         .with("confirm_samples", static_cast<double>(kConfirmSamples))
+                         .with("interval_us", static_cast<double>(kSampleInterval)));
     client_.recover_from_disconnection();
   }
 
   sim::Simulator& sim_;
   bt::Client& client_;
-  MobilityDetectorConfig config_;
   bool had_peers_ = false;
   int zero_streak_ = 0;
   std::uint64_t detections_ = 0;

@@ -46,34 +46,18 @@
 
 namespace wp2p::exp {
 
-struct FlyweightConfig {
-  double seed_fraction = 0.2;         // initial seeds among background peers
-  sim::SimTime announce_interval = sim::seconds(120.0);
-  sim::SimTime choke_interval = sim::seconds(10.0);
-  sim::SimTime progress_interval = sim::seconds(5.0);
-  // Probability that one leech gains one (rarest-biased) piece per progress
-  // tick — the stand-in for the background↔background transfer we don't model.
-  double progress_per_tick = 0.25;
-  std::uint16_t base_port = 20000;    // listen ports count up from here per host
-};
-
 class FlyweightSwarm {
  public:
   struct Stats {
     std::uint64_t sessions_accepted = 0;
-    std::uint64_t sessions_closed = 0;
     std::uint64_t blocks_served = 0;     // piece blocks uploaded to foreground
-    std::uint64_t blocks_fetched = 0;    // piece blocks downloaded from foreground
     std::uint64_t pieces_granted = 0;    // progress-model grants
-    std::uint64_t have_broadcasts = 0;
   };
 
-  FlyweightSwarm(World& world, bt::Tracker& tracker, const bt::Metainfo& meta,
-                 FlyweightConfig config = {})
+  FlyweightSwarm(World& world, bt::Tracker& tracker, const bt::Metainfo& meta)
       : world_{world},
         tracker_{tracker},
         meta_{meta},
-        config_{config},
         rng_{world.sim.rng().fork()},
         full_{meta.piece_count()},
         availability_(static_cast<std::size_t>(meta.piece_count()), 0) {
@@ -88,7 +72,7 @@ class FlyweightSwarm {
   void add_host(World::Host& host) { hosts_.push_back(&host); }
 
   // Create `count` background peers round-robin across the aggregator hosts.
-  // A config_.seed_fraction slice starts as seeds, the rest as empty leeches.
+  // A kSeedFraction slice starts as seeds, the rest as empty leeches.
   void add_peers(int count) {
     WP2P_ASSERT_MSG(!hosts_.empty(), "add_host() before add_peers()");
     for (int i = 0; i < count; ++i) {
@@ -97,9 +81,8 @@ class FlyweightSwarm {
       Peer& peer = peers_.back();
       peer.id = rng_.next_u64() | 1;
       peer.host = &host;
-      peer.port = static_cast<std::uint16_t>(config_.base_port +
-                                             peers_.size() / hosts_.size());
-      if (rng_.uniform() < config_.seed_fraction) {
+      peer.port = static_cast<std::uint16_t>(kBasePort + peers_.size() / hosts_.size());
+      if (rng_.uniform() < kSeedFraction) {
         peer.have = &full_;
       } else {
         peer.own = std::make_unique<bt::Bitfield>(meta_.piece_count());
@@ -122,9 +105,9 @@ class FlyweightSwarm {
     announce_task_ = std::make_unique<sim::PeriodicTask>(
         world_.sim, wheel_period(), [this] { announce_cohort(); });
     choke_task_ = std::make_unique<sim::PeriodicTask>(
-        world_.sim, config_.choke_interval, [this] { run_choke_round(); });
+        world_.sim, kChokeInterval, [this] { run_choke_round(); });
     progress_task_ = std::make_unique<sim::PeriodicTask>(
-        world_.sim, config_.progress_interval, [this] { progress_tick(); });
+        world_.sim, kProgressInterval, [this] { progress_tick(); });
     announce_task_->start();
     choke_task_->start();
     progress_task_->start();
@@ -171,7 +154,7 @@ class FlyweightSwarm {
   };
 
   sim::SimTime wheel_period() const {
-    return std::max<sim::SimTime>(1, config_.announce_interval / kAnnounceCohorts);
+    return std::max<sim::SimTime>(1, kAnnounceInterval / kAnnounceCohorts);
   }
 
   void listen(Peer& peer) {
@@ -220,7 +203,6 @@ class FlyweightSwarm {
   }
 
   void close_session(Session& s) {
-    ++stats_.sessions_closed;
     s.conn->on_message = nullptr;
     s.conn->on_closed = nullptr;
     auto& sessions = s.peer->sessions;
@@ -348,7 +330,6 @@ class FlyweightSwarm {
   }
 
   void on_block(Session& s, const bt::WireMessage& msg) {
-    ++stats_.blocks_fetched;
     s.uploaded_to_us += msg.length;
     if (s.inflight > 0) --s.inflight;
     if (msg.piece == s.fetch_piece) {
@@ -369,7 +350,6 @@ class FlyweightSwarm {
     for (auto& session : peer.sessions) {
       if (!session->established()) continue;
       send(*session, bt::WireMessage::have(piece));
-      ++stats_.have_broadcasts;
     }
     if (peer.own->all()) {
       // Complete: swap to the shared full bitfield (the flyweight proper) and
@@ -413,14 +393,14 @@ class FlyweightSwarm {
   }
 
   // The background↔background transfer stand-in: each tick, every incomplete
-  // peer gains one piece with probability progress_per_tick, biased to rare
+  // peer gains one piece with probability kProgressPerTick, biased to rare
   // pieces (sample two, keep the rarer — a cheap rarest-first approximation).
   void progress_tick() {
     const int pieces = meta_.piece_count();
     if (pieces == 0) return;
     for (Peer& peer : peers_) {
       if (peer.own == nullptr) continue;  // already complete
-      if (rng_.uniform() >= config_.progress_per_tick) continue;
+      if (rng_.uniform() >= kProgressPerTick) continue;
       const int a = missing_piece_near(peer, static_cast<int>(rng_.below(
                                                 static_cast<std::uint64_t>(pieces))));
       const int b = missing_piece_near(peer, static_cast<int>(rng_.below(
@@ -448,6 +428,14 @@ class FlyweightSwarm {
     return -1;
   }
 
+  static constexpr double kSeedFraction = 0.2;  // initial seeds among background peers
+  static constexpr sim::SimTime kAnnounceInterval = sim::seconds(120.0);
+  static constexpr sim::SimTime kChokeInterval = sim::seconds(10.0);
+  static constexpr sim::SimTime kProgressInterval = sim::seconds(5.0);
+  // Probability that one leech gains one (rarest-biased) piece per progress
+  // tick — the stand-in for the background↔background transfer we don't model.
+  static constexpr double kProgressPerTick = 0.25;
+  static constexpr std::uint16_t kBasePort = 20000;  // listen ports count up from here per host
   static constexpr std::size_t kAnnounceCohorts = 16;
   static constexpr std::size_t kUnchokeSlots = 4;  // tit-for-tat slots per background peer
   static constexpr int kRequestWindow = 8;          // outstanding block requests per session
@@ -455,7 +443,6 @@ class FlyweightSwarm {
   World& world_;
   bt::Tracker& tracker_;
   const bt::Metainfo& meta_;
-  FlyweightConfig config_;
   sim::Rng rng_;
   bt::Bitfield full_;                       // shared by every complete peer
   std::vector<std::uint32_t> availability_; // background copies per piece

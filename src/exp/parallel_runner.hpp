@@ -3,19 +3,18 @@
 // Every paper figure is an average over N seeded runs, and each run is a
 // share-nothing deterministic simulation (its own Simulator, Network, and
 // root RNG). That makes the batch embarrassingly parallel: the pool needs no
-// synchronization beyond the task queues themselves.
+// synchronization beyond one shared next-index counter.
 //
-// Tasks are distributed round-robin across per-worker deques; an idle worker
-// pops from the front of its own deque and steals from the back of a victim's
-// (classic work stealing), so one straggler seed cannot serialize the tail of
-// a batch. Results land in index-addressed slots, which makes aggregation
-// order — and therefore every bench table — independent of thread
-// interleaving: `--jobs 1` and `--jobs 8` print byte-identical output.
+// Each idle worker takes the next unclaimed index, so one straggler seed
+// cannot serialize the tail of a batch. Results land in index-addressed
+// slots, which makes aggregation order — and therefore every bench table —
+// independent of thread interleaving: `--jobs 1` and `--jobs 8` print
+// byte-identical output.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -71,23 +70,13 @@ class ParallelRunner {
     if (workers == 1) {
       for (int i = 0; i < count; ++i) timed_run(0, i);
     } else {
-      std::deque<WorkerQueue> queues(static_cast<std::size_t>(workers));
-      for (int i = 0; i < count; ++i) {
-        queues[static_cast<std::size_t>(i % workers)].tasks.push_back(i);
-      }
+      // Tasks never enqueue tasks, so an index past the end means done.
+      std::atomic<int> next{0};
       std::mutex error_mutex;
       std::exception_ptr first_error;
       auto worker_main = [&](int self) {
         try {
-          for (;;) {
-            int index = take_own(queues[static_cast<std::size_t>(self)]);
-            for (int off = 1; off < workers && index < 0; ++off) {
-              index = steal(queues[static_cast<std::size_t>((self + off) % workers)]);
-            }
-            // Tasks never enqueue tasks, so empty queues everywhere means done.
-            if (index < 0) return;
-            timed_run(self, index);
-          }
+          for (int index = next++; index < count; index = next++) timed_run(self, index);
         } catch (...) {
           std::lock_guard lock{error_mutex};
           if (!first_error) first_error = std::current_exception();
@@ -117,27 +106,6 @@ class ParallelRunner {
   }
 
  private:
-  struct WorkerQueue {
-    std::mutex mutex;
-    std::deque<int> tasks;
-  };
-
-  static int take_own(WorkerQueue& queue) {
-    std::lock_guard lock{queue.mutex};
-    if (queue.tasks.empty()) return -1;
-    const int index = queue.tasks.front();
-    queue.tasks.pop_front();
-    return index;
-  }
-
-  static int steal(WorkerQueue& victim) {
-    std::lock_guard lock{victim.mutex};
-    if (victim.tasks.empty()) return -1;
-    const int index = victim.tasks.back();
-    victim.tasks.pop_back();
-    return index;
-  }
-
   int jobs_ = 1;
   RunnerReport report_;
 };

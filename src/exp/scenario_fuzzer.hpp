@@ -307,7 +307,10 @@ class ScenarioFuzzer {
     std::vector<std::string> names, wireless;
     for (int i = 0; i < n; ++i) {
       ScenarioPeer p;
-      p.name = "p" + std::to_string(i);
+      // Appended, not "p" + std::to_string(i): that trips a GCC 12
+      // -Wrestrict false positive in -O3 builds.
+      p.name = "p";
+      p.name += std::to_string(i);
       if (i == 0) {
         // p0 anchors the swarm: a wired seed, so every scenario starts with
         // at least one stable full copy.

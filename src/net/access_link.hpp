@@ -19,12 +19,9 @@ class Network;
 enum class Direction { kUp, kDown };  // kUp: node -> cloud, kDown: cloud -> node
 
 struct LinkStats {
-  std::uint64_t up_packets = 0;    // packets fully transmitted upstream
-  std::uint64_t down_packets = 0;  // packets fully transmitted downstream
+  std::uint64_t up_packets = 0;  // packets fully transmitted upstream
   std::int64_t up_bytes = 0;
-  std::int64_t down_bytes = 0;
   std::uint64_t up_queue_drops = 0;
-  std::uint64_t down_queue_drops = 0;
   std::uint64_t up_error_drops = 0;  // BER losses (wireless only)
   std::uint64_t down_error_drops = 0;
 };
@@ -58,19 +55,12 @@ class AccessLink {
     if (dir == Direction::kUp) {
       ++stats_.up_packets;
       stats_.up_bytes += pkt.size;
-    } else {
-      ++stats_.down_packets;
-      stats_.down_bytes += pkt.size;
     }
     if (on_transmit) on_transmit(dir, pkt);
   }
 
   void note_queue_drop(Direction dir, const Packet& pkt) {
-    if (dir == Direction::kUp) {
-      ++stats_.up_queue_drops;
-    } else {
-      ++stats_.down_queue_drops;
-    }
+    if (dir == Direction::kUp) ++stats_.up_queue_drops;
     if (on_queue_drop) on_queue_drop(dir, pkt);
   }
 

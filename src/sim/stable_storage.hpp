@@ -51,11 +51,12 @@ struct StorageParams {
   double torn_write_prob = 0.0;   // journal a truncated record instead
   double stale_drop_prob = 0.0;   // ack the caller, never journal
   double stall_prob = 0.0;        // append pays an extra 2 s stall
-  int journal_capacity = 8;       // bounded journal; oldest records evicted
 };
 
 class StableStorage {
  public:
+  static constexpr std::size_t kJournalCapacity = 8;  // bounded journal; oldest records evicted
+
   struct Record {
     std::uint64_t seq = 0;
     std::string payload;
@@ -69,7 +70,6 @@ class StableStorage {
     std::uint64_t torn_writes = 0;
     std::uint64_t stale_drops = 0;
     std::uint64_t stalls = 0;
-    std::uint64_t loads = 0;
     std::uint64_t records_discarded = 0;  // checksum-invalid records skipped
   };
 
@@ -115,7 +115,6 @@ class StableStorage {
   // checksum verifies wins. Everything younger is discarded (and counted) —
   // the degrade-to-older-snapshot path the resume layer builds on.
   LoadResult load() {
-    ++stats_.loads;
     LoadResult result;
     for (auto it = journal_.rbegin(); it != journal_.rend(); ++it) {
       if (chain_checksum(it->prev, it->payload) == it->checksum) {
@@ -166,9 +165,7 @@ class StableStorage {
       }
       rec.payload = std::move(payload);
       journal_.push_back(std::move(rec));
-      while (static_cast<int>(journal_.size()) > params_.journal_capacity) {
-        journal_.pop_front();
-      }
+      while (journal_.size() > kJournalCapacity) journal_.pop_front();
     }
     WP2P_TRACE(sim_, trace::event(trace::Component::kStore, trace::Kind::kStoreWrite)
                          .at(label_)

@@ -13,6 +13,10 @@ constexpr std::int64_t kMss = 1448;               // payload bytes per full segm
 constexpr std::int64_t kInitCwndSegments = 2;     // RFC 3390-era initial window
 constexpr std::int64_t kInitSsthresh = 64 * 1024;  // bytes (classic BSD initial ssthresh)
 constexpr sim::SimTime kMinRto = sim::milliseconds(200.0);
+constexpr sim::SimTime kInitRto = sim::seconds(1.0);  // before the first RTT sample
+constexpr sim::SimTime kMaxRto = sim::seconds(60.0);
+constexpr int kMaxDataRetries = 8;  // consecutive RTOs before the connection fails
+constexpr int kMaxSynRetries = 5;   // SYN (or SYN-ACK) retransmissions before giving up
 // How long a receiver holds an owed ACK hoping to piggyback it on reverse
 // data before emitting a pure ACK (delayed-ACK timer).
 constexpr sim::SimTime kAckDelay = sim::milliseconds(10.0);
@@ -250,7 +254,6 @@ void Connection::process_ack(const Segment& seg) {
       return;
     }
   } else if (ack == snd_una_ && seg.pure_ack() && snd_nxt_ > snd_una_) {
-    ++stats_.dupacks_received;
     on_dupack();
   }
 }
@@ -390,7 +393,6 @@ void Connection::send_pure_ack(bool dup) {
 }
 
 void Connection::emit(std::shared_ptr<Segment> seg) {
-  ++stats_.segments_sent;
   stack_.send_segment(local_, remote_, std::move(seg));
 }
 
@@ -411,7 +413,6 @@ void Connection::process_data(const Segment& seg, bool corrupted) {
     // receiver keeps, so remember the span. Overlap with data already held
     // clean over-reports corruption slightly; acceptable for a fault model.
     note_corrupt_bytes(std::max(start, rcv_nxt_), seg.seq + seg.payload);
-    ++stats_.corrupt_segments;
   }
   if (seg.fin) {
     remote_fin_seen_ = true;
@@ -534,14 +535,14 @@ void Connection::ack_emitted() {
 sim::SimTime Connection::current_rto() const {
   sim::SimTime base;
   if (!rtt_seeded_) {
-    base = params_.init_rto;
+    base = kInitRto;
   } else {
     base = srtt_ + std::max<sim::SimTime>(4 * rttvar_, sim::milliseconds(10.0));
   }
-  base = std::clamp(base, kMinRto, params_.max_rto);
+  base = std::clamp(base, kMinRto, kMaxRto);
   // Exponential backoff for consecutive timeouts.
-  for (int i = 0; i < backoff_ && base < params_.max_rto; ++i) base *= 2;
-  return std::min(base, params_.max_rto);
+  for (int i = 0; i < backoff_ && base < kMaxRto; ++i) base *= 2;
+  return std::min(base, kMaxRto);
 }
 
 void Connection::arm_rto() {
@@ -561,7 +562,7 @@ void Connection::cancel_rto() {
 
 void Connection::on_rto() {
   if (state_ == ConnState::kConnecting) {
-    if (++syn_retries_ > params_.max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       fail(CloseReason::kTimeout);
       return;
     }
@@ -571,7 +572,7 @@ void Connection::on_rto() {
     return;
   }
   if (state_ == ConnState::kAccepting) {
-    if (++syn_retries_ > params_.max_syn_retries) {
+    if (++syn_retries_ > kMaxSynRetries) {
       fail(CloseReason::kTimeout);
       return;
     }
@@ -582,7 +583,7 @@ void Connection::on_rto() {
   }
   if (snd_una_ >= snd_nxt_) return;  // nothing outstanding
 
-  if (++backoff_ > params_.max_data_retries) {
+  if (++backoff_ > kMaxDataRetries) {
     fail(CloseReason::kTimeout);
     return;
   }

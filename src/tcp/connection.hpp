@@ -49,14 +49,11 @@ struct ConnStats {
   std::int64_t bytes_retransmitted = 0;
   std::int64_t bytes_acked = 0;
   std::int64_t bytes_delivered = 0;    // in-order delivery to the app
-  std::uint64_t segments_sent = 0;
   std::uint64_t pure_acks_sent = 0;
   std::uint64_t piggybacked_acks = 0;  // data segments that carried new ACK info
   std::uint64_t dupacks_sent = 0;
-  std::uint64_t dupacks_received = 0;
   std::uint64_t fast_retransmits = 0;
   std::uint64_t timeouts = 0;
-  std::uint64_t corrupt_segments = 0;  // data segments that arrived damaged
 };
 
 class Connection : public std::enable_shared_from_this<Connection> {

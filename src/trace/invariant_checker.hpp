@@ -21,7 +21,7 @@
 //   lihd-bounds         The LIHD upload limit stays within [min, max]
 //                       (Section 4.2, Figure 6).
 //   mob-single-detect   Live-peer mobility detections for a node are at
-//                       least confirm_samples * sample_interval apart (the
+//                       least confirm_samples * interval_us apart (the
 //                       detector re-arms only after peers return).
 //   fault-bracket       Injected-fault episodes (net::FaultInjector) are
 //                       well-bracketed: every kFaultEnd closes a matching

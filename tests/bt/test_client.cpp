@@ -186,20 +186,19 @@ TEST(ClientSwarm, SnubDetectionFlagsStalledPeerAndDeliveryClearsIt) {
 }
 
 TEST(ClientSwarm, EndgameDuplicatesStragglersToOtherPeers) {
-  // Two seeds, one nearly dead, and request timeouts pushed out of reach:
-  // the blocks pipelined to the dead seed can only be rescued by end-game
-  // duplication to the live seed.
+  // Two seeds, one nearly dead, and a window that ends before the 60-s
+  // request timeout can fire: the blocks pipelined to the dead seed can only
+  // be rescued by end-game duplication to the live seed.
   Swarm swarm{41, small_file(4 * 1024 * 1024)};
   auto& fast = swarm.add_wired("fast", true, fast_config());
   fast->set_upload_limit(util::Rate::kBps(200.0));
   auto& slow = swarm.add_wired("slow", true, fast_config(6882));
   slow->set_upload_limit(util::Rate::kBps(0.05));
-  auto cfg = fast_config(6883);
-  cfg.request_timeout = sim::minutes(60.0);
-  auto& leech = swarm.add_wired("leech", false, cfg);
+  auto& leech = swarm.add_wired("leech", false, fast_config(6883));
   swarm.start_all();
 
-  ASSERT_TRUE(swarm.run_until_complete(leech, 180.0));
+  ASSERT_TRUE(swarm.run_until_complete(leech, 55.0));
+  EXPECT_EQ(leech->stats().blocks_requeued, 0u);  // no request timed out
   // Every duplicate pinned at the dead seed was cancelled as the live copy
   // landed — nothing is left outstanding there.
   PeerConnection* conn = leech->peer_by_id(slow->peer_id());
@@ -209,21 +208,20 @@ TEST(ClientSwarm, EndgameDuplicatesStragglersToOtherPeers) {
 }
 
 TEST(ClientSwarm, WithoutEndgameStragglersStayPinned) {
-  // The control for the test above: same dead seed, endgame disabled. The
-  // blocks pipelined to it are never duplicated and the download cannot
-  // finish inside the window.
+  // The control for the test above: same dead seed and window, endgame
+  // disabled. The blocks pipelined to it are never duplicated and the
+  // download cannot finish inside the window.
   Swarm swarm{41, small_file(4 * 1024 * 1024)};
   auto& fast = swarm.add_wired("fast", true, fast_config());
   fast->set_upload_limit(util::Rate::kBps(200.0));
   auto& slow = swarm.add_wired("slow", true, fast_config(6882));
   slow->set_upload_limit(util::Rate::kBps(0.05));
   auto cfg = fast_config(6883);
-  cfg.request_timeout = sim::minutes(60.0);
   cfg.endgame_block_threshold = 0;
   auto& leech = swarm.add_wired("leech", false, cfg);
   swarm.start_all();
 
-  swarm.run_for(180.0);
+  swarm.run_for(55.0);
   EXPECT_FALSE(leech->complete());
   PeerConnection* conn = leech->peer_by_id(slow->peer_id());
   ASSERT_NE(conn, nullptr);

@@ -28,7 +28,6 @@ TEST(ClientFeatures, EndgameFinishesDespiteStalledSeed) {
   // reached.
   Swarm swarm{31, small_file(4 * 1024 * 1024)};
   auto config = fast_config();
-  config.request_timeout = sim::seconds(30.0);
   auto& healthy = swarm.add_wired("healthy", true, config);
   healthy->set_upload_limit(util::Rate::kBps(400.0));
   auto& flaky = swarm.add_wired("flaky", true, fast_config(6882));
@@ -73,7 +72,6 @@ TEST(ClientFeatures, SnubbedPeerLosesReciprocation) {
   // round takes the slot away.
   Swarm swarm{34, small_file(16 * 1024 * 1024)};
   auto config = fast_config();
-  config.request_timeout = sim::seconds(20.0);
   config.upload_limit = util::Rate::kBps(50.0);  // keep the exchange mid-flight
   auto config2 = fast_config(6882);
   config2.upload_limit = util::Rate::kBps(50.0);
@@ -87,60 +85,64 @@ TEST(ClientFeatures, SnubbedPeerLosesReciprocation) {
   swarm.start_all();
   swarm.run_for(15.0);
   EXPECT_GT(l1->stats().payload_downloaded, 0);
-  // Kill l2 silently; l1's outstanding requests to it eventually time out.
+  // Kill l2 silently; l1's outstanding requests to it time out after the
+  // 60-s request timeout.
   l2.host->node->set_connected(false);
-  swarm.run_for(60.0);
+  swarm.run_for(100.0);
   EXPECT_GT(l1->stats().blocks_requeued, 0u);
 }
 
 TEST(ClientFeatures, IdleDeadConnectionsAreReaped) {
   // A connected idle peer whose remote host silently vanishes is dropped
-  // after idle_timeout instead of occupying a slot forever.
+  // after the 240-s idle timeout instead of occupying a slot forever.
   Swarm swarm{35, small_file()};
   auto config = fast_config();
-  config.idle_timeout = sim::seconds(60.0);
-  config.keepalive_interval = sim::seconds(20.0);
   swarm.add_wired("seed", true, config);
   auto& leech = swarm.add_wired("leech", false, config);
   swarm.start_all();
   ASSERT_TRUE(swarm.run_until_complete(leech, 300.0));
   // Leech is now a seed too; both idle but exchange keep-alives: no reaping.
-  swarm.run_for(180.0);
+  swarm.run_for(720.0);  // three idle timeouts
   // (seed-to-seed connections were closed at completion; just assert stability)
   SUCCEED();
 }
 
 TEST(ClientFeatures, KeepalivesPreserveHealthyIdleConnections) {
-  // A leech choked by everyone sits idle; keep-alives must keep the
-  // connection alive well past idle_timeout.
+  // Two leeches holding the same pieces have nothing to trade, so their
+  // connection sits idle; keep-alives (every 100 s) must keep it alive well
+  // past the 240-s idle timeout. (A seed that never delivers would instead
+  // be struck by the stall auditor and banned after about 250 s.)
   Swarm swarm{36, small_file(8 * 1024 * 1024)};
   auto config = fast_config();
-  config.idle_timeout = sim::seconds(45.0);
-  config.keepalive_interval = sim::seconds(15.0);
-  auto& seed = swarm.add_wired("seed", true, config);
-  seed->set_upload_limit(util::Rate::bytes_per_sec(1.0));  // effectively mute
+  auto& other = swarm.add_wired("other", false, config);
+  other->preload_pieces({0, 1, 2});
   auto& leech = swarm.add_wired("leech", false, config);
+  leech->preload_pieces({0, 1, 2});
   swarm.start_all();
   swarm.run_for(5.0);
   ASSERT_EQ(leech->peer_count(), 1u);
-  swarm.run_for(120.0);  // several idle_timeouts with no piece traffic
+  swarm.run_for(640.0);  // several idle timeouts with no piece traffic
   EXPECT_EQ(leech->peer_count(), 1u);
 }
 
 TEST(ClientFeatures, IdleTimeoutReapsBlackholedPeer) {
   Swarm swarm{37, small_file()};
   auto config = fast_config();
-  config.idle_timeout = sim::seconds(45.0);
-  config.keepalive_interval = sim::seconds(15.0);
-  auto& seed = swarm.add_wired("seed", true, config);
+  // The seed sits behind a 250-ms link: with a ~0.6-s RTO base, the leech's
+  // RTO ladder on its next keep-alive takes over three minutes to give up,
+  // so the 240-s idle timeout, not a TCP timeout, ends the connection.
+  net::WiredParams far;
+  far.prop_delay = sim::milliseconds(250.0);
+  auto& seed = swarm.add_wired("seed", true, config, far);
   auto& leech = swarm.add_wired("leech", false, config);
   swarm.start_all();
   ASSERT_TRUE(swarm.run_until_complete(leech, 120.0));
   swarm.run_for(2.0);
   // Blackhole the (now idle) seed: keep-alives stop arriving at the leech.
   seed.host->node->set_connected(false);
-  swarm.run_for(120.0);
+  swarm.run_for(300.0);
   EXPECT_EQ(leech->peer_count(), 0u);
+  EXPECT_EQ(leech->stats().reconnect_attempts, 0u);  // no TCP timeout came first
 }
 
 TEST(ClientFeatures, RecoverFromDisconnectionRebuildsSwarm) {

@@ -74,7 +74,6 @@ TEST(Discovery, FailoverRegistersOnBackupThenFailsBackToPrimary) {
   Swarm swarm{301, small_file()};
   Tracker& backup = swarm.add_backup_tracker(1);
   auto config = quiet_config();
-  config.tracker_probe_interval = sim::seconds(10.0);
   auto& seed = swarm.add_wired("seed", true, config);
   auto config2 = config;
   config2.listen_port = 6882;
@@ -94,9 +93,10 @@ TEST(Discovery, FailoverRegistersOnBackupThenFailsBackToPrimary) {
   EXPECT_EQ(leech->stats().bootstrap_dials, 0u);
   EXPECT_EQ(seed->stats().bootstrap_dials, 0u);
 
-  // Once the primary returns, the periodic probe moves announces home.
+  // Once the primary returns, the periodic probe (every 60 s) moves
+  // announces home.
   swarm.tracker.set_reachable(true);
-  swarm.run_for(25.0);
+  swarm.run_for(150.0);
   EXPECT_GE(leech->stats().tracker_failbacks, 1u);
   EXPECT_EQ(leech->discovery().tracker_cursor(), 0u);
   EXPECT_GE(swarm.tracker.swarm_size(swarm.meta.info_hash), 1u);
@@ -127,7 +127,6 @@ TEST(Discovery, PexGossipBridgesPeersTheTrackerNeverIntroduced) {
   stingy.max_peers_returned = 1;
   Swarm swarm{303, small_file(), stingy};
   auto config = quiet_config();
-  config.pex_interval = sim::seconds(10.0);
   // Throttle the hub so both leeches are still mid-download when gossip
   // introduces them — the new edge carries real piece traffic.
   config.upload_limit = util::Rate::kBps(40.0);
@@ -160,7 +159,6 @@ TEST(Discovery, PexPropagatesPostHandoffAddressWhileTrackersDark) {
   // peers the mover never re-dialed — identity retained throughout.
   Swarm swarm{304, small_file()};
   auto config = quiet_config();
-  config.pex_interval = sim::seconds(10.0);
   config.upload_limit = util::Rate::kBps(40.0);  // keep m mid-download at hand-off
   auto& hub = swarm.add_wired("hub", true, config);
   auto config_c = config;

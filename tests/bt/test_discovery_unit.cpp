@@ -79,7 +79,7 @@ TEST_F(DiscoveryUnit, FailsOverToTheNextTierAndProbesBackToThePrimary) {
   EXPECT_EQ(discovery.tracker_cursor(), 1u);
   EXPECT_EQ(stats.tracker_failovers, 1u);
   run_for(5.0);  // the retry reaches the backup
-  EXPECT_EQ(backup.announces(), 1u);
+  EXPECT_EQ(backup.stats().announces, 1u);
   EXPECT_EQ(discovery.retry_chain().attempt, 0);
   EXPECT_EQ(discovery.tracker_cursor(), 1u);
 
@@ -90,9 +90,9 @@ TEST_F(DiscoveryUnit, FailsOverToTheNextTierAndProbesBackToThePrimary) {
   run_for(60.0);  // the next probe answers
   EXPECT_EQ(discovery.tracker_cursor(), 0u);
   EXPECT_EQ(stats.tracker_failbacks, 1u);
-  const std::uint64_t announces = primary.announces();
+  const std::uint64_t announces = primary.stats().announces;
   run_for(120.0);  // home again, the probe has stopped
-  EXPECT_EQ(primary.announces(), announces);
+  EXPECT_EQ(primary.stats().announces, announces);
 }
 
 TEST_F(DiscoveryUnit, RedialSkipsConnectedEndpointsAndStopsWhenFull) {

@@ -217,36 +217,30 @@ TEST(Recovery, BanDisabledKeepsStrikingAndTripsInvariant) {
 
 TEST(Recovery, ReconnectsAfterTcpTimeoutOnceRemoteReturns) {
   Swarm swarm{76, small_file(8 * 1024 * 1024)};
-  auto config = quiet_config();
-  // Fail fast: a few data RTOs kill the connection, short SYN ladder on
-  // re-dials, snappy reconnect backoff.
-  tcp::TcpParams fast_fail;
-  fast_fail.max_data_retries = 3;
-  fast_fail.max_syn_retries = 2;
-  config.reconnect_initial = sim::seconds(2.0);
-  // Frequent keep-alives give the dead link unACKed data to time out on.
-  config.keepalive_interval = sim::seconds(5.0);
   auto& seed = swarm.add_wired("seed", true, quiet_config());
   // Throttle so the transfer is still mid-flight when the outage hits.
   seed->set_upload_limit(util::Rate::kBps(300.0));
-  auto& leech = swarm.add_wired("leech", false, config, {}, fast_fail);
+  auto& leech = swarm.add_wired("leech", false, quiet_config());
   swarm.start_all();
   swarm.run_for(5.0);
   ASSERT_EQ(leech->peer_count(), 1u);
   ASSERT_FALSE(leech->complete());
 
   // The seed's host silently vanishes mid-transfer (outage / hand-off): the
-  // leech's connection dies by retransmission timeout.
+  // leech's connection dies by retransmission timeout. Its next keep-alive
+  // (100 s) gives the dead link unACKed data, and the RTO ladder (eight
+  // doubling retries, capped at 60 s) then runs out after about 100 s more.
   seed.host->node->set_connected(false);
-  swarm.run_for(20.0);
+  swarm.run_for(240.0);
   // The dead connection was torn down (kTimeout) and the backoff ladder is
   // re-dialing; a dial in flight may legitimately occupy a slot here.
   EXPECT_GE(leech->stats().reconnect_attempts, 1u);
 
   // Once the seed returns, a queued re-dial re-knits the swarm — with the
   // hour-long announce interval the tracker cannot be the discovery path.
+  // The re-dial's SYN retries are at most 32 s apart.
   seed.host->node->set_connected(true);
-  swarm.run_for(30.0);
+  swarm.run_for(60.0);
   EXPECT_EQ(leech->peer_count(), 1u);
   ASSERT_TRUE(swarm.run_until_complete(leech, 200.0));
 }
@@ -255,20 +249,16 @@ TEST(Recovery, ReconnectDisabledStaysDisconnected) {
   Swarm swarm{77, small_file(8 * 1024 * 1024)};
   auto config = quiet_config();
   config.reconnect = false;
-  tcp::TcpParams fast_fail;
-  fast_fail.max_data_retries = 3;
-  fast_fail.max_syn_retries = 2;
-  config.keepalive_interval = sim::seconds(5.0);
   auto seed_config = quiet_config();
   seed_config.reconnect = false;  // isolate: neither side may re-dial
   auto& seed = swarm.add_wired("seed", true, seed_config);
   seed->set_upload_limit(util::Rate::kBps(300.0));
-  auto& leech = swarm.add_wired("leech", false, config, {}, fast_fail);
+  auto& leech = swarm.add_wired("leech", false, config);
   swarm.start_all();
   swarm.run_for(5.0);
   ASSERT_EQ(leech->peer_count(), 1u);
   seed.host->node->set_connected(false);
-  swarm.run_for(20.0);
+  swarm.run_for(240.0);  // as above: long enough for the TCP timeout
   seed.host->node->set_connected(true);
   swarm.run_for(60.0);
   EXPECT_FALSE(leech->complete());
@@ -278,27 +268,28 @@ TEST(Recovery, ReconnectDisabledStaysDisconnected) {
 }
 
 TEST(Recovery, DeadDialIsReapedByIdleTimeout) {
-  // Regression: a dial to a peer that crashed after announcing must not hold
-  // a connection slot forever — the handshake never completes, so the idle
-  // timeout reaps it (and no reconnect chain starts for it).
+  // Regression: a dial to a peer that hung after announcing must not hold a
+  // connection slot forever — the handshake never completes, so the 240-s
+  // idle timeout reaps it (and no reconnect chain starts for it).
   Swarm swarm{78, small_file()};
-  auto config = quiet_config();
-  config.idle_timeout = sim::seconds(20.0);
-  auto& leech = swarm.add_wired("leech", false, config);
+  auto& leech = swarm.add_wired("leech", false, quiet_config());
 
-  // A ghost entry: an endpoint nothing listens on (the "crashed" peer).
+  // A ghost: its host accepts TCP on the announced port but never answers
+  // the BitTorrent handshake, so the SYN ladder cannot end the dial first.
+  exp::World::Host& ghost_host = swarm.world.add_wired_host("ghost");
+  ghost_host.stack->listen(6881, [](std::shared_ptr<tcp::Connection>) {});
   AnnounceRequest ghost;
   ghost.info_hash = swarm.meta.info_hash;
-  ghost.endpoint = {net::IpAddr{9999}, 6881};
+  ghost.endpoint = ghost_host.endpoint(6881);
   ghost.peer_id = 777;
   ghost.event = AnnounceEvent::kStarted;
   swarm.tracker.announce(ghost, nullptr);
 
   swarm.start_all();
   swarm.run_for(5.0);
-  // The dial is in flight (SYN retries), occupying a slot.
+  // The dial is connected but stuck before the handshake, occupying a slot.
   EXPECT_EQ(leech->peer_count(), 1u);
-  swarm.run_for(25.0);  // > idle_timeout
+  swarm.run_for(250.0);  // > the idle timeout
   EXPECT_EQ(leech->peer_count(), 0u);
   // A never-established dial must not enter the reconnect ladder.
   EXPECT_EQ(leech->stats().reconnect_attempts, 0u);

@@ -169,15 +169,15 @@ TEST(StableStorage, StaleDropAcksTheCallerWithoutJournaling) {
 
 TEST(StableStorage, BoundedJournalEvictsOldestRecords) {
   sim::Simulator sim{9};
-  sim::StorageParams params;
-  params.journal_capacity = 2;
-  sim::StableStorage storage{sim, params, "disk"};
-  for (int i = 0; i < 5; ++i) storage.append("snapshot-" + std::to_string(i));
+  sim::StableStorage storage{sim, sim::StorageParams{}, "disk"};
+  // Three appends more than the journal holds.
+  constexpr std::size_t kAppends = sim::StableStorage::kJournalCapacity + 3;
+  for (std::size_t i = 0; i < kAppends; ++i) storage.append("snapshot-" + std::to_string(i));
   sim.run();
-  EXPECT_EQ(storage.journal_size(), 2u);
+  EXPECT_EQ(storage.journal_size(), sim::StableStorage::kJournalCapacity);
   const auto result = storage.load();
   ASSERT_TRUE(result.record.has_value());
-  EXPECT_EQ(result.record->seq, 5u);
+  EXPECT_EQ(result.record->seq, kAppends);
 }
 
 TEST(ResumeStore, WrongTorrentSnapshotDegradesToColdStart) {
@@ -411,7 +411,7 @@ TEST(BootstrapCacheTtl, PruneDropsOnlyStaleEntriesAndRestoreKeepsAges) {
   EXPECT_EQ(cache.prune(sim::seconds(110.0), sim::seconds(50.0)), 1u);
   ASSERT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.entries()[0].peer_id, 0x2u);
-  EXPECT_EQ(cache.prune(sim::seconds(110.0), 0), 0u);  // ttl <= 0 disables aging
+  EXPECT_EQ(cache.prune(sim::seconds(110.0), sim::seconds(10.0)), 0u);  // exactly ttl old stays
 
   // restore() reinserts with the snapshotted timestamp — a later prune still
   // sees the entry's true age (touch() would have reset it to "now").
@@ -429,14 +429,13 @@ TEST(BootstrapCacheTtl, PruneDropsOnlyStaleEntriesAndRestoreKeepsAges) {
 // a restore after a long-enough gap must age them out before dialing.
 TEST(Resume, RestoreAfterLongSuspendPrunesStaleBootstrapEndpoints) {
   Swarm swarm{99, small_file()};
-  auto config = quiet_config(6882);
-  config.bootstrap_entry_ttl = sim::seconds(60.0);
-  auto& mob = swarm.add_wired("mob", false, config);
+  auto& mob = swarm.add_wired("mob", false, quiet_config(6882));
   sim::StableStorage storage{swarm.world.sim, sim::StorageParams{}, "mob"};
   ResumeStore store{storage, swarm.meta.info_hash};
 
-  // A snapshot written "before the suspend": one endpoint proven long ago
-  // (the old cell) and one proven recently, relative to the restore instant.
+  // A snapshot written "before the suspend": one endpoint proven longer ago
+  // than the 30-minute entry TTL (the old cell) and one proven recently,
+  // relative to the restore instant.
   ResumeSnapshot snap;
   snap.info_hash = swarm.meta.info_hash;
   snap.peer_id = 0x777;
@@ -447,10 +446,10 @@ TEST(Resume, RestoreAfterLongSuspendPrunesStaleBootstrapEndpoints) {
   stale.last_good = sim::seconds(10.0);
   fresh.endpoint = {net::IpAddr{102}, 6881};
   fresh.peer_id = 0xbbb;
-  fresh.last_good = sim::seconds(170.0);
+  fresh.last_good = sim::minutes(31.0);
   snap.bootstrap = {stale, fresh};
   store.save(snap);
-  swarm.world.sim.run_until(sim::seconds(180.0));  // the long suspend
+  swarm.world.sim.run_until(sim::minutes(31.0) + sim::seconds(10.0));  // the long suspend
 
   mob->attach_resume(store);
   mob->start();

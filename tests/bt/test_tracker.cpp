@@ -91,11 +91,9 @@ TEST_F(TrackerTest, CapsReturnedPeers) {
 }
 
 TEST_F(TrackerTest, StaleEntriesExpire) {
-  TrackerConfig config;
-  config.peer_ttl = sim::minutes(1.0);
-  Tracker t{sim, config};
+  Tracker t{sim};
   t.announce(request(1), nullptr);
-  sim.run_until(sim::minutes(2.0));
+  sim.run_until(sim::minutes(90.0));  // twice the 45-minute entry TTL
   std::vector<TrackerPeerInfo> got{TrackerPeerInfo{}};
   t.announce(request(2), [&](auto res) { got = std::move(res.peers); });
   sim.run();
@@ -119,7 +117,6 @@ TEST_F(TrackerTest, UnreachableTrackerReportsFailure) {
   EXPECT_TRUE(called);
   EXPECT_EQ(failed_at, sim::seconds(3.0));
   EXPECT_EQ(tracker.swarm_size(0xabc), 0u);  // no state registered
-  EXPECT_EQ(tracker.dropped_announces(), 1u);
   EXPECT_EQ(tracker.stats().dropped_announces, 1u);
   EXPECT_EQ(tracker.stats().announces, 0u);
 }

@@ -51,7 +51,6 @@ TEST_F(LihdTest, IncreasesLinearlyWhileDownloadsImprove) {
 TEST_F(LihdTest, DecreasesWithGrowingAggressiveness) {
   config.beta = kb(10);
   config.max_upload = kb(200);
-  config.min_upload = kb(1);
   auto lihd = make();
   lihd->step(kb(50));
   lihd->step(kb(40));  // worse: -beta*1
@@ -77,12 +76,11 @@ TEST_F(LihdTest, ClampsToBounds) {
   config.alpha = kb(500);
   config.beta = kb(500);
   config.max_upload = kb(200);
-  config.min_upload = kb(5);
   auto lihd = make();
   lihd->step(kb(10));
   lihd->step(kb(20));  // +500 clamped to 200
   EXPECT_DOUBLE_EQ(lihd->current_limit().kilobytes_per_sec(), 200.0);
-  lihd->step(kb(15));  // -500 clamped to 5
+  lihd->step(kb(15));  // -500 clamped to kMinUpload, 5
   EXPECT_DOUBLE_EQ(lihd->current_limit().kilobytes_per_sec(), 5.0);
 }
 
@@ -96,7 +94,6 @@ TEST_F(LihdTest, EqualRatesWalkLimitToMinUploadFloor) {
   config.alpha = kb(10);
   config.beta = kb(10);
   config.max_upload = kb(200);
-  config.min_upload = kb(5);
   [[maybe_unused]] trace::Recorder& recorder = world.enable_tracing();
   auto lihd = make();
 
@@ -136,8 +133,7 @@ TEST_F(LihdTest, StartAppliesLimitToClient) {
 }
 
 TEST_F(LihdTest, PeriodicUpdatesRunWhileStarted) {
-  config.interval = sim::seconds(5.0);
-  auto lihd = make();
+  auto lihd = make();  // one update per kInterval, 5 s
   lihd->start();
   world.sim.run_until(sim::seconds(26.0));
   EXPECT_EQ(lihd->updates(), 5u);

@@ -57,27 +57,23 @@ TEST_F(MobilityDetectorTest, DoesNotFireBeforeEverHavingPeers) {
 }
 
 TEST_F(MobilityDetectorTest, DetectsSilentLossAndRecovers) {
-  MobilityDetectorConfig config;
-  config.sample_interval = sim::seconds(2.0);
-  config.confirm_samples = 2;
-  MobilityDetector detector{swarm.world.sim, *mobile->client, config};
+  MobilityDetector detector{swarm.world.sim, *mobile->client};
   detector.start();
   swarm.run_for(20.0);
   ASSERT_GT(mobile->client->peer_count(), 0u);
 
-  // Silent connection loss (no address-change event fires).
+  // Silent connection loss (no address-change event fires): two zero-peer
+  // samples, 5 s apart, confirm it.
   mobile->host->stack->abort_all();
   ASSERT_EQ(mobile->client->peer_count(), 0u);
-  swarm.run_for(10.0);
+  swarm.run_for(15.0);
   EXPECT_EQ(detector.detections(), 1u);
   EXPECT_GT(mobile->client->peer_count(), 0u);  // role reversal reconnected
 }
 
 TEST_F(MobilityDetectorTest, ConfirmSamplesSuppressTransients) {
-  MobilityDetectorConfig config;
-  config.sample_interval = sim::seconds(2.0);
-  config.confirm_samples = 5;  // needs 10 s of zero peers
-  MobilityDetector detector{swarm.world.sim, *mobile->client, config};
+  // Two zero-peer samples 5 s apart are needed: 5-10 s of zero peers.
+  MobilityDetector detector{swarm.world.sim, *mobile->client};
   detector.start();
   swarm.run_for(20.0);
   // A brief outage that heals by itself (role reversal via address change).
@@ -103,26 +99,14 @@ TEST(MobilityDetectorRoamTest, SilentRoamDrainsPeersThenFiresExactlyOnce) {
   bt::ClientConfig mc = fc;
   mc.role_reversal = true;
   mc.retain_peer_id = true;
-  // A leech between block arrivals has no unacked outbound data, so a
-  // blackholed connection sits silent until the next keep-alive probes it;
-  // keep that probe (and the retry budget below) short so the connection
-  // dies within the test window instead of the default ~100 s + minutes.
-  mc.keepalive_interval = sim::seconds(5.0);
   // The transport-level reconnect policy would also heal a silent roam (the
   // re-dial leaves from the NEW address and succeeds); disable it so this
   // test isolates the detector -> role-reversal path.
   mc.reconnect = false;
-  tcp::TcpParams fast_fail;
-  fast_fail.init_rto = sim::milliseconds(300.0);
-  fast_fail.max_rto = sim::milliseconds(500.0);
-  fast_fail.max_data_retries = 3;
-  auto& mobile = swarm.add_wireless("mobile", false, mc, {}, fast_fail);
+  auto& mobile = swarm.add_wireless("mobile", false, mc);
   swarm.start_all();
 
-  MobilityDetectorConfig config;
-  config.sample_interval = sim::seconds(2.0);
-  config.confirm_samples = 3;
-  MobilityDetector detector{swarm.world.sim, *mobile.client, config};
+  MobilityDetector detector{swarm.world.sim, *mobile.client};
   detector.start();
   swarm.run_for(20.0);
   ASSERT_GT(mobile.client->peer_count(), 0u);
@@ -135,19 +119,24 @@ TEST(MobilityDetectorRoamTest, SilentRoamDrainsPeersThenFiresExactlyOnce) {
   node.on_address_change = std::move(hooks);
   ASSERT_GT(mobile.client->peer_count(), 0u);  // nothing aborted synchronously
 
-  // Peers drain as each connection's retries exhaust.
+  // Peers drain as each connection's retries exhaust. A leech between block
+  // arrivals has no unacked outbound data, so a blackholed connection sits
+  // silent until the 60-s request timeout re-requests its blocks; the RTO
+  // ladder (eight doubling retries, capped at 60 s) then runs out about
+  // 100 s later.
   double drained_at = -1.0;
-  for (int i = 0; i < 300 && drained_at < 0.0; ++i) {
+  for (int i = 0; i < 3000 && drained_at < 0.0; ++i) {
     swarm.run_for(0.1);
     if (mobile.client->peer_count() == 0) {
       drained_at = sim::to_seconds(swarm.world.sim.now());
     }
   }
   ASSERT_GE(drained_at, 0.0) << "blackholed connections never timed out";
-  // The confirm window (3 zero-peer samples) cannot have elapsed yet.
+  // The confirm window (2 zero-peer samples, 5 s apart) cannot have elapsed
+  // yet.
   EXPECT_EQ(detector.detections(), 0u);
 
-  swarm.run_for(10.0);
+  swarm.run_for(15.0);
   EXPECT_EQ(detector.detections(), 1u);
   EXPECT_GT(mobile.client->peer_count(), 0u);  // role reversal reconnected
 
@@ -173,27 +162,19 @@ TEST(MobilityDetectorRoamTest, TwoHandoffsInOneWindowFireOneDetection) {
   bt::ClientConfig mc = fc;
   mc.role_reversal = true;
   mc.retain_peer_id = true;
-  mc.keepalive_interval = sim::seconds(5.0);
   mc.reconnect = false;  // isolate the detector -> role-reversal path
-  tcp::TcpParams fast_fail;
-  fast_fail.init_rto = sim::milliseconds(300.0);
-  fast_fail.max_rto = sim::milliseconds(500.0);
-  fast_fail.max_data_retries = 3;
   swarm.world.enable_cells();
   for (int i = 0; i < 3; ++i) swarm.world.cells->add_cell();
-  auto& mobile = swarm.add_cellular("mobile", false, mc, 0, fast_fail);
+  auto& mobile = swarm.add_cellular("mobile", false, mc, 0);
   swarm.start_all();
 
-  MobilityDetectorConfig config;
-  config.sample_interval = sim::seconds(2.0);
-  config.confirm_samples = 3;
-  MobilityDetector detector{swarm.world.sim, *mobile.client, config};
+  MobilityDetector detector{swarm.world.sim, *mobile.client};
   detector.start();
   swarm.run_for(20.0);
   ASSERT_GT(mobile.client->peer_count(), 0u);
 
   // Both roams are silent (interface hooks suppressed, as in a driver that
-  // surfaces no events) and land within one 6 s confirm window.
+  // surfaces no events) and land within one 10 s confirm window.
   net::Node& node = *mobile.host->node;
   auto hooks = std::move(node.on_address_change);
   node.on_address_change.clear();
@@ -205,7 +186,7 @@ TEST(MobilityDetectorRoamTest, TwoHandoffsInOneWindowFireOneDetection) {
 
   // Blackholed connections drain as their retries exhaust...
   double drained_at = -1.0;
-  for (int i = 0; i < 300 && drained_at < 0.0; ++i) {
+  for (int i = 0; i < 3000 && drained_at < 0.0; ++i) {
     swarm.run_for(0.1);
     if (mobile.client->peer_count() == 0) {
       drained_at = sim::to_seconds(swarm.world.sim.now());
@@ -223,9 +204,7 @@ TEST(MobilityDetectorRoamTest, TwoHandoffsInOneWindowFireOneDetection) {
 }
 
 TEST_F(MobilityDetectorTest, StopPreventsFurtherDetections) {
-  MobilityDetectorConfig config;
-  config.sample_interval = sim::seconds(2.0);
-  MobilityDetector detector{swarm.world.sim, *mobile->client, config};
+  MobilityDetector detector{swarm.world.sim, *mobile->client};
   detector.start();
   swarm.run_for(20.0);
   detector.stop();

@@ -103,7 +103,7 @@ TEST_F(WP2PTest, LihdStartsAtHalfMaxAndStaysBounded) {
                    (lc.max_upload * 0.5).bytes_per_sec());
   swarm.run_for(120.0);
   EXPECT_GT(mobile->lihd()->updates(), 10u);
-  EXPECT_GE(mobile->lihd()->current_limit(), lc.min_upload);
+  EXPECT_GE(mobile->lihd()->current_limit(), LihdController::kMinUpload);
   EXPECT_LE(mobile->lihd()->current_limit(), lc.max_upload);
   // The client's live upload limit is whatever LIHD last set.
   EXPECT_DOUBLE_EQ(mobile->client().upload_limit().bytes_per_sec(),

@@ -9,19 +9,11 @@
 namespace wp2p {
 namespace {
 
-exp::FlyweightConfig quick_config() {
-  exp::FlyweightConfig config;
-  config.announce_interval = sim::seconds(30.0);
-  config.choke_interval = sim::seconds(5.0);
-  config.progress_interval = sim::seconds(5.0);
-  return config;
-}
-
 TEST(FlyweightSwarm, ForegroundClientCompletesAgainstFlyweightSeeds) {
   auto meta = bt::Metainfo::create("fly", 512 * 1024, 128 * 1024, "tr", 7);
   exp::Swarm swarm{/*seed=*/7, meta};
 
-  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta, quick_config()};
+  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta};
   net::WiredParams aggregator_link;
   // The aggregator's single access link stands in for every flyweight peer's
   // own link: scale capacity with the population it carries.
@@ -51,19 +43,16 @@ TEST(FlyweightSwarm, LeechesProgressToSeedsViaProgressModel) {
   auto meta = bt::Metainfo::create("fly2", 256 * 1024, 64 * 1024, "tr", 9);
   exp::Swarm swarm{/*seed=*/9, meta};
 
-  exp::FlyweightConfig config = quick_config();
-  config.seed_fraction = 0.5;
-  config.progress_per_tick = 1.0;  // deterministic grant per tick
-  config.progress_interval = sim::seconds(2.0);
-  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta, config};
+  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta};
   fly.add_host(swarm.world.add_wired_host("agg0"));
   fly.add_peers(10);
   fly.start();
 
   const std::size_t seeds_before = fly.seed_count();
-  swarm.run_for(60.0);
-  // 4 pieces per leech at one grant per 2s tick: everyone is a seed long
-  // before the minute is up, and each completion freed its private bitfield.
+  swarm.run_for(300.0);
+  // 4 pieces per leech at a grant with probability 1/4 per 5-s tick, so 80 s
+  // on average: everyone is a seed well before 5 minutes are up, and each
+  // completion freed its private bitfield.
   EXPECT_LT(seeds_before, fly.peer_count());
   EXPECT_EQ(fly.seed_count(), fly.peer_count());
   EXPECT_GT(fly.stats().pieces_granted, 0u);
@@ -73,7 +62,7 @@ TEST(FlyweightSwarm, PopulationScalesAcrossHosts) {
   auto meta = bt::Metainfo::create("fly3", 256 * 1024, 128 * 1024, "tr", 11);
   exp::Swarm swarm{/*seed=*/11, meta};
 
-  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta, quick_config()};
+  exp::FlyweightSwarm fly{swarm.world, swarm.tracker, meta};
   fly.add_host(swarm.world.add_wired_host("agg0"));
   fly.add_host(swarm.world.add_wired_host("agg1"));
   fly.add_peers(2000);

@@ -130,7 +130,6 @@ TEST_P(SeedSweep, ChokerIncrementalSetsConsistentUnderChurn) {
   Swarm swarm{seed + 500, meta};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(10.0);
-  config.choke_interval = sim::seconds(5.0);  // more choke rounds per wall-second
   swarm.add_wired("seed", true, config);
   auto& venom = swarm.add_wired("venom", true, [&] {
     bt::ClientConfig c = config;
@@ -159,7 +158,8 @@ TEST_P(SeedSweep, ChokerIncrementalSetsConsistentUnderChurn) {
 
   swarm.start_all();
   sim::Rng rng{seed * 131};
-  for (int tick = 0; tick < 120; ++tick) {
+  // 240 one-second ticks: 24 choke rounds at the 10-s round.
+  for (int tick = 0; tick < 240; ++tick) {
     swarm.run_for(1.0);
     // Rate churn: re-rank somebody every tick.
     auto& victim = swarm.members[rng.below(swarm.members.size())];
