@@ -42,7 +42,6 @@ double run_am_config(std::uint64_t seed, const core::AmConfig& am, double durati
   for (int p = 0; p < meta.piece_count(); ++p) (p % 2 == 0 ? even : odd).push_back(p);
   peer_client.preload_pieces(even);
   wp2p_client.client().preload_pieces(odd);
-  auto faults = bench::apply_bench_faults(world, &tracker, seed, duration_s);
   peer_client.start();
   wp2p_client.start();
   world.sim.run_until(sim::seconds(duration_s));

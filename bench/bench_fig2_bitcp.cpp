@@ -83,7 +83,6 @@ TransferResult run_transfer(std::uint64_t seed, double ber, bool bidirectional,
   }};
   feeder.start_after(sim::milliseconds(1.0));
 
-  auto faults = bench::apply_bench_faults(world, /*tracker=*/nullptr, seed, duration_s);
   world.sim.run_until(sim::seconds(duration_s));
   TransferResult result;
   result.down_rate_bytes_per_sec =

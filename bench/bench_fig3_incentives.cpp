@@ -120,7 +120,6 @@ TaskResult run_one_task(std::uint64_t seed, bool wireless_client,
   cc.upload_limit = client_upload;
   bt::Client client{*client_host->node, *client_host->stack, tracker, meta, cc, false};
 
-  auto faults = bench::apply_bench_faults(world, &tracker, seed, duration_s);
   for (auto& c : clients) c->start();
   client.start();
   const double warmup_s = duration_s / 3.0;

@@ -47,7 +47,6 @@ double run_server_mobility(std::uint64_t seed, double change_interval_min, int m
   auto& fixed = world.add_wired_host("fixed");
   bt::Client client{*fixed.node, *fixed.stack, tracker, meta, fixed_config, false};
 
-  auto faults = bench::apply_bench_faults(world, &tracker, seed, duration_s);
   for (auto& s : seeds) s->start();
   client.start();
   world.sim.run_until(sim::seconds(duration_s));

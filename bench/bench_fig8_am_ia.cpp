@@ -64,7 +64,6 @@ AmResult run_am(std::uint64_t seed, double ber, double duration_s) {
   default_client.preload_pieces(even);
   wp2p_client.client().preload_pieces(odd);
 
-  auto faults = bench::apply_bench_faults(world, &tracker, seed, duration_s);
   default_client.start();
   wp2p_client.start();
   world.sim.run_until(sim::seconds(duration_s));

@@ -122,7 +122,6 @@ double run_role_reversal(std::uint64_t seed, double interval_min, bool use_rr,
                                             (static_cast<double>(i) + 1.0) / 2.0));
   }
 
-  auto faults = bench::apply_bench_faults(world, &tracker, seed, duration_s);
   for (auto& c : leechers) c->start();
   for (auto& s : seeds) s->start();
   world.sim.run_until(sim::seconds(duration_s));

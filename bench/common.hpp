@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/wp2p_client.hpp"
-#include "exp/faults.hpp"
 #include "exp/parallel_runner.hpp"
 #include "exp/swarm.hpp"
 #include "metrics/meters.hpp"
@@ -28,7 +27,6 @@ struct BenchOptions {
   int runs_override = 0;          // 0 = keep each figure's default run count
   std::uint64_t seed_offset = 0;  // shifts every base seed
   bool csv = false;               // emit tables as CSV instead of aligned text
-  bool faults = false;            // overlay a seeded background fault schedule
 };
 
 inline BenchOptions& options() {
@@ -81,8 +79,6 @@ class ArgParser {
             static_cast<std::uint64_t>(parse_int(arg, next_value(argc, argv, i), 0));
       } else if (arg == "--csv") {
         opts.csv = true;
-      } else if (arg == "--faults") {
-        opts.faults = true;
       } else if (arg == "--trace") {
         trace_options().path = next_value(argc, argv, i);
       } else if (arg == "--check-invariants") {
@@ -100,16 +96,13 @@ class ArgParser {
  private:
   static void usage(const char* prog, const std::vector<Flag>& flags, std::FILE* out) {
     std::fprintf(out,
-                 "usage: %s [--runs N] [--jobs N] [--seed S] [--csv] [--faults]"
+                 "usage: %s [--runs N] [--jobs N] [--seed S] [--csv]"
                  " [--trace FILE] [--check-invariants]\n"
                  "  --runs N  override every figure's seeded-run count\n"
                  "  --jobs N  worker threads for multi-seed sweeps"
                  " (default: one per hardware thread)\n"
                  "  --seed S  offset added to every base seed\n"
                  "  --csv     print tables as CSV rows\n"
-                 "  --faults  overlay a seed-randomized background fault schedule\n"
-                 "            (link flaps, BER episodes, hand-off storms, ...) on\n"
-                 "            each scenario — stress mode, numbers will differ\n"
                  "  --trace FILE        write structured trace events (JSONL) for the\n"
                  "                      base-seed run of each scenario\n"
                  "  --check-invariants  replay traced events through the protocol\n"
@@ -237,39 +230,6 @@ inline void print_runner_summary() {
                "task time %.1fs, wall %.1fs, speedup %.2fx\n",
                r.tasks, r.batches, runner().jobs(), r.task_seconds, r.wall_seconds,
                r.speedup());
-}
-
-// Under --faults, overlay a seed-randomized background fault schedule on the
-// world's hosts (call after all hosts are added, before the run). Returns
-// the owning injector, or null when --faults is off — keep it alive for the
-// duration of the run. The plan derives from the run's seed, so a faulted
-// sweep is exactly as reproducible as a clean one. Network faults (flaps,
-// BER, storms, duplication/reorder) apply in full; tracker outages flip
-// `tracker` if given; peer-crash windows only sever the link (there is no
-// registry mapping nodes to clients here).
-inline std::unique_ptr<net::FaultInjector> apply_bench_faults(exp::World& world,
-                                                              bt::Tracker* tracker,
-                                                              std::uint64_t seed,
-                                                              double horizon_s) {
-  if (!options().faults) return nullptr;
-  std::vector<std::string> targets;
-  std::vector<std::string> wireless;
-  for (auto& host : world.hosts) {
-    targets.push_back(host.node->name());
-    if (host.wireless() != nullptr) wireless.push_back(targets.back());
-  }
-  sim::Rng rng{seed ^ 0xfa0175c1a0b5e27dULL};
-  sim::FaultPlan plan =
-      sim::FaultPlan::random(rng, targets, wireless, horizon_s, /*max_actions=*/4);
-  auto injector = std::make_unique<net::FaultInjector>(world.net, std::move(plan));
-  if (tracker != nullptr) {
-    // This path has a single tracker, so every named outage (and a blackout's
-    // "*") lands on it.
-    injector->on_tracker_outage = [tracker](const std::string&, bool down) {
-      tracker->set_reachable(!down);
-    };
-  }
-  return injector;
 }
 
 // Apply a periodic IP-address change to a host (the paper's emulated

@@ -105,7 +105,6 @@ void Client::start() {
     return;
   }
   lifecycle_ = Lifecycle::kRunning;
-  pipeline_.note_disconnect();
   // A fresh incarnation restores from the resume journal before anything else
   // observes its state; the same object restarting (crash/restart keeps member
   // data alive) never re-applies a snapshot over live state.
@@ -114,15 +113,12 @@ void Client::start() {
     restore_from_snapshot();
   }
   start_listening();
-  // Register node hooks once; a stop()/start() cycle (fault-injected crash
+  // Register the node hook once; a stop()/start() cycle (fault-injected crash
   // and restart) must not stack duplicate handlers.
   if (!node_hooks_installed_) {
     node_hooks_installed_ = true;
     node_.on_address_change.push_back([this, alive = ctx_.alive](net::IpAddr, net::IpAddr) {
       if (*alive) handle_address_change();
-    });
-    node_.on_connectivity_change.push_back([this, alive = ctx_.alive](bool connected) {
-      if (*alive && !connected) pipeline_.note_disconnect();
     });
   }
   start_tasks();
@@ -196,7 +192,7 @@ void Client::suspend() {
   // connections until their own snub/idle/reconnect machinery gives up, which
   // is exactly the composition the remote-side timers are built for.
   if (resume_store_ != nullptr) {
-    const auto saved = [this, alive = ctx_.alive]([[maybe_unused]] std::uint64_t s) {
+    const auto saved = [this, alive = ctx_.alive](std::uint64_t s) {
       if (!*alive) return;
       ++stats_.snapshots_written;
       // A resume (or kill) may have raced the device ack; only a client
@@ -228,7 +224,6 @@ void Client::resume() {
                        .why("begin")
                        .with("peer_id", static_cast<double>(peer_id_ & 0xffffffffu)));
   lifecycle_ = Lifecycle::kResuming;
-  pipeline_.note_disconnect();
   start_listening();
   start_tasks();
   lifecycle_ = Lifecycle::kRunning;
@@ -847,7 +842,6 @@ void Client::pump_uploads() {
 // --- Mobility -----------------------------------------------------------------------
 
 void Client::handle_address_change() {
-  pipeline_.note_disconnect();
   if (!running()) return;
   // Snapshot listen endpoints of live peers before the task dies (wP2P RR
   // "stores all the corresponding peers", Section 4.3).

@@ -42,7 +42,7 @@ constexpr int kPexEndpointBudget = 64;
 
 // Endpoints packed into a trace field: addr * 2^16 + port fits a double
 // exactly (48 bits < 2^53), so the invariant checker can compare them.
-[[maybe_unused]] double pack_endpoint(net::Endpoint ep) {
+double pack_endpoint(net::Endpoint ep) {
   return static_cast<double>(ep.addr.value) * 65536.0 + static_cast<double>(ep.port);
 }
 }  // namespace
@@ -126,8 +126,8 @@ void Discovery::on_announce_result(AnnounceResult result, std::size_t slot) {
   ++announce_fail_streak_;
   if (ctx_.config.tracker_failover && trackers_.size() > 1 && slot == trackers_.cursor()) {
     const std::size_t from = trackers_.cursor();
-    [[maybe_unused]] const int from_tier = trackers_.tier_of(from);
-    [[maybe_unused]] const std::size_t to = trackers_.advance();
+    const int from_tier = trackers_.tier_of(from);
+    const std::size_t to = trackers_.advance();
     ++ctx_.stats.tracker_failovers;
     WP2P_TRACE(ctx_.sim, ctx_.event(trace::Kind::kBtTrackerFailover)
                              .why("failover")
@@ -190,7 +190,7 @@ void Discovery::probe_primary() {
       request(AnnounceEvent::kStarted), [this, alive = ctx_.alive](AnnounceResult result) {
         if (!*alive || !ctx_.running() || !result.ok) return;  // still dark: keep probing
         if (trackers_.cursor() == 0) return;                    // already home
-        [[maybe_unused]] const std::size_t from = trackers_.cursor();
+        const std::size_t from = trackers_.cursor();
         trackers_.failback();
         ++ctx_.stats.tracker_failbacks;
         announce_fail_streak_ = 0;
@@ -246,7 +246,7 @@ void Discovery::send_pex_round() {
                              .with("added", static_cast<double>(added.size()))
                              .with("dropped", static_cast<double>(dropped.size()))
                              .with("interval_s", sim::to_seconds(kPexInterval)));
-    for ([[maybe_unused]] const PexPeer& entry : added) {
+    for (const PexPeer& entry : added) {
       WP2P_TRACE(ctx_.sim, ctx_.event(trace::Kind::kBtPexEntry)
                                .on(net::to_string(to))
                                .with("ep", pack_endpoint(entry.endpoint))
@@ -330,8 +330,7 @@ void Discovery::maybe_bootstrap() {
                            .with("cached", static_cast<double>(bootstrap_.size())));
 }
 
-void Discovery::consider_reconnect(net::Endpoint remote,
-                                   [[maybe_unused]] tcp::CloseReason reason) {
+void Discovery::consider_reconnect(net::Endpoint remote, tcp::CloseReason reason) {
   if (!ctx_.config.reconnect || !ctx_.running()) return;
   for (const auto& [id, endpoint] : known_listen_endpoints_) {
     if (endpoint == remote && enforcer_.is_banned(id)) return;

@@ -53,7 +53,7 @@ constexpr std::array<OffenseRule, kOffenseKinds> kOffenseRules{{
 }};
 }  // namespace
 
-void Enforcer::strike(PeerId id, [[maybe_unused]] int piece, [[maybe_unused]] const char* cause) {
+void Enforcer::strike(PeerId id, int piece, const char* cause) {
   // An already-banned peer is beyond striking: pieces it contributed to may
   // keep completing after the ban, and those strikes would overshoot the
   // threshold under perfectly correct behaviour.
@@ -86,7 +86,7 @@ void Enforcer::record_offense(PeerConnection& peer, Offense offense) {
   // threshold-steps of that — "a couple" because strikes land one event after
   // the crossing, so same-tick evidence bursts can overshoot by one step.
   // The invariant rules check count against the limit carried in the event.
-  [[maybe_unused]] const int limit = rule.threshold * (kBanThreshold + 2);
+  const int limit = rule.threshold * (kBanThreshold + 2);
   WP2P_TRACE(ctx_.sim, ctx_.event(rule.kind)
                            .why(rule.label)
                            .with("peer_id", static_cast<double>(peer.remote_id & 0xffffffffu))
@@ -177,7 +177,7 @@ void Enforcer::audit_stall(PeerConnection& peer) {
   }
 }
 
-void Enforcer::grant_grace(PeerId id, [[maybe_unused]] const char* cause) {
+void Enforcer::grant_grace(PeerId id, const char* cause) {
   if (id == 0) return;
   const sim::SimTime until = ctx_.sim.now() + kMobilityGrace;
   auto [it, fresh] = grace_until_.try_emplace(id, until);

@@ -64,8 +64,7 @@ std::optional<RequestPipeline::BlockRef> RequestPipeline::next_block_for(PeerCon
     }
   }
   if (candidates.empty()) return endgame_block_for(peer);
-  SelectionContext ctx{candidates, availability_, store.completed_fraction(),
-                       ctx_.sim.now() - last_disconnect_, ctx_.rng};
+  SelectionContext ctx{candidates, availability_, store.completed_fraction(), ctx_.rng};
   const int piece = selector_->pick(ctx);
   if (piece < 0) return std::nullopt;
   block_state(piece, 0);  // activate

@@ -30,8 +30,6 @@ class RequestPipeline {
     selector_ = std::move(selector);
   }
   PieceSelector& selector() { return *selector_; }
-  // Restarts the selector's stable time (time since the last disconnection).
-  void note_disconnect() { last_disconnect_ = ctx_.sim.now(); }
 
   void on_bitfield(PeerConnection& peer, const Bitfield& pieces) {
     if (peer.bitfield_counted) add_availability(peer.peer_bitfield, -1);
@@ -114,7 +112,6 @@ class RequestPipeline {
   std::vector<int> availability_;                  // remote copies per piece
   std::map<int, std::vector<BlockState>> active_;  // pieces in progress
   Bitfield active_pieces_;  // mirror of active_ keys for word-wise candidate scans
-  sim::SimTime last_disconnect_ = 0;
 };
 
 }  // namespace wp2p::bt

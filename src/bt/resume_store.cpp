@@ -37,18 +37,6 @@ std::optional<std::vector<bool>> bits_from_string(std::string_view s) {
   return bits;
 }
 
-// Splits `line` on single spaces (the serializer never emits doubles).
-std::vector<std::string_view> split(std::string_view line) {
-  std::vector<std::string_view> tokens;
-  while (!line.empty()) {
-    const std::size_t sp = line.find(' ');
-    if (sp != 0) tokens.push_back(line.substr(0, sp));
-    if (sp == std::string_view::npos) break;
-    line.remove_prefix(sp + 1);
-  }
-  return tokens;
-}
-
 using util::parse_double;
 using util::parse_u64;
 using util::value_of;
@@ -94,16 +82,9 @@ std::optional<ResumeSnapshot> ResumeSnapshot::parse(std::string_view text) {
   ResumeSnapshot snap;
   bool saw_header = false;
   bool saw_end = false;
-  while (!text.empty() && !saw_end) {
-    const std::size_t eol = text.find('\n');
-    const std::string_view line = text.substr(0, eol);
-    if (eol == std::string_view::npos) {
-      text = {};
-    } else {
-      text.remove_prefix(eol + 1);
-    }
+  for (std::string_view line; !saw_end && util::next_line(text, line);) {
     if (line.empty()) continue;
-    const auto tokens = split(line);
+    const auto tokens = util::split(line);
     if (tokens.empty()) continue;
     const std::string_view tag = tokens[0];
     if (tag == "resume") {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "sim/rng.hpp"
-#include "sim/time.hpp"
 
 namespace wp2p::bt {
 
@@ -21,8 +20,6 @@ struct SelectionContext {
   const std::vector<int>& availability;
   // Fraction of the file already downloaded (drives wP2P's pr schedule).
   double downloaded_fraction = 0.0;
-  // Time since the download started or since the last disconnection.
-  sim::SimTime stable_time = 0;
   sim::Rng& rng;
 };
 

@@ -18,7 +18,7 @@ struct AmNames {
   std::string key;
 };
 
-[[maybe_unused]] trace::TraceEvent am_event(trace::Kind kind, const AmNames& names) {
+trace::TraceEvent am_event(trace::Kind kind, const AmNames& names) {
   return trace::event(trace::Component::kAm, kind).at(names.node).on(names.key);
 }
 }  // namespace
@@ -44,9 +44,7 @@ bool AmFilter::flow_is_young(net::Endpoint local, net::Endpoint remote) {
   return young(flow(local, remote));
 }
 
-void AmFilter::trace_class([[maybe_unused]] Flow& f, [[maybe_unused]] net::Endpoint local,
-                           [[maybe_unused]] net::Endpoint remote) {
-#ifndef WP2P_TRACE_DISABLED
+void AmFilter::trace_class(Flow& f, net::Endpoint local, net::Endpoint remote) {
   if (sim_.tracer() == nullptr) return;
   const bool is_young = young(f);
   const int cls = is_young ? 1 : 0;
@@ -57,7 +55,6 @@ void AmFilter::trace_class([[maybe_unused]] Flow& f, [[maybe_unused]] net::Endpo
                        .with("estimate", static_cast<double>(
                                              f.ingress_bytes.sum(sim_.now())))
                        .with("gamma", static_cast<double>(config_.gamma_bytes)));
-#endif
 }
 
 void AmFilter::ingress(net::Packet pkt, std::vector<net::Packet>& out) {

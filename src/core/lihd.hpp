@@ -54,7 +54,7 @@ class LihdController {
   // One LIHD decision given the current window-averaged download rate.
   // Exposed for unit tests and ablations; update() feeds it live rates.
   util::Rate step(util::Rate d_cur) {
-    [[maybe_unused]] const char* decision = "seed";  // Dprev == 0: history only
+    const char* decision = "seed";  // Dprev == 0: history only
     if (d_prev_.bytes_per_sec() != 0.0) {
       if (d_prev_ < d_cur) {
         current_ = current_ + config_.alpha;  // linear increase

@@ -237,13 +237,11 @@ struct FuzzVerdict {
   std::uint64_t cell_outage_drops = 0;   // packets lost to cell outages
   std::uint64_t cell_handoff_drops = 0;  // frames that died mid-hand-off
   // Resume-subsystem aggregates (all 0 when the scenario has no lifecycle).
-  std::uint64_t suspends = 0;             // app-suspend brackets entered
-  std::uint64_t resumes = 0;              // suspend brackets closed by a resume
-  std::uint64_t snapshots_written = 0;    // resume snapshots acked by storage
-  std::uint64_t torn_writes = 0;          // journal records truncated mid-write
-  std::uint64_t stale_drops = 0;          // acked writes that never journaled
-  std::uint64_t snapshots_discarded = 0;  // checksum-invalid records skipped on load
-  std::uint64_t cold_restarts = 0;        // restores that degraded to a cold start
+  std::uint64_t suspends = 0;           // app-suspend brackets entered
+  std::uint64_t resumes = 0;            // suspend brackets closed by a resume
+  std::uint64_t snapshots_written = 0;  // resume snapshots acked by storage
+  std::uint64_t torn_writes = 0;        // journal records truncated mid-write
+  std::uint64_t cold_restarts = 0;      // restores that degraded to a cold start
   // Survivability: when each leech finished (seconds, in peer order; only
   // leeches that completed inside the run appear). -1 means no leech finished.
   std::vector<double> leech_completion_s;
@@ -542,8 +540,6 @@ class ScenarioFuzzer {
     }
     for (const sim::StableStorage& storage : storages) {
       verdict.torn_writes += storage.stats().torn_writes;
-      verdict.stale_drops += storage.stats().stale_drops;
-      verdict.snapshots_discarded += storage.stats().records_discarded;
     }
     if (!verdict.leech_completion_s.empty()) {
       double sum = 0.0;
@@ -696,24 +692,9 @@ inline std::optional<Scenario> Scenario::parse(std::string_view text) {
 
   Scenario s;
   bool saw_header = false;
-  while (!text.empty()) {
-    const std::size_t eol = text.find('\n');
-    std::string_view line = text.substr(0, eol);
-    if (eol == std::string_view::npos) {
-      text = {};
-    } else {
-      text.remove_prefix(eol + 1);
-    }
+  for (std::string_view line; util::next_line(text, line);) {
     if (line.empty() || line[0] == '#') continue;
-
-    std::vector<std::string_view> tokens;
-    std::string_view rest = line;
-    while (!rest.empty()) {
-      const std::size_t sp = rest.find(' ');
-      if (sp != 0) tokens.push_back(rest.substr(0, sp));
-      if (sp == std::string_view::npos) break;
-      rest.remove_prefix(sp + 1);
-    }
+    const auto tokens = util::split(line);
     if (tokens.empty()) continue;
 
     if (tokens[0] == "scenario") {

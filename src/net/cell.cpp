@@ -12,7 +12,7 @@ namespace wp2p::net {
 
 namespace {
 
-[[maybe_unused]] const char* dir_name(Direction dir) {
+const char* dir_name(Direction dir) {
   return dir == Direction::kUp ? "up" : "down";
 }
 

@@ -32,8 +32,7 @@ Cell* FaultInjector::ber_target(const sim::FaultAction& action, Node* target) {
   return target == nullptr ? nullptr : wireless_of(*target);
 }
 
-void FaultInjector::trace_fault([[maybe_unused]] const sim::FaultAction& action,
-                                [[maybe_unused]] bool start) {
+void FaultInjector::trace_fault(const sim::FaultAction& action, bool start) {
   WP2P_TRACE(network_.sim(),
              trace::event(trace::Component::kFault,
                           start ? trace::Kind::kFaultStart : trace::Kind::kFaultEnd)

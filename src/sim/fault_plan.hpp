@@ -132,12 +132,8 @@ struct FaultPlan {
 
   static FaultPlan parse(std::string_view text) {
     FaultPlan plan;
-    while (!text.empty()) {
-      const std::size_t eol = text.find('\n');
-      const std::string_view line = text.substr(0, eol);
+    for (std::string_view line; util::next_line(text, line);) {
       if (auto action = FaultAction::parse(line)) plan.actions.push_back(std::move(*action));
-      if (eol == std::string_view::npos) break;
-      text.remove_prefix(eol + 1);
     }
     return plan;
   }
@@ -274,14 +270,8 @@ struct FaultPlan {
 };
 
 inline std::optional<FaultAction> FaultAction::parse(std::string_view line) {
-  // Tokenize on spaces; expects the leading "fault" tag.
-  std::vector<std::string_view> tokens;
-  while (!line.empty()) {
-    const std::size_t sp = line.find(' ');
-    if (sp != 0) tokens.push_back(line.substr(0, sp));
-    if (sp == std::string_view::npos) break;
-    line.remove_prefix(sp + 1);
-  }
+  // Expects the leading "fault" tag.
+  const auto tokens = util::split(line);
   if (tokens.size() < 2 || tokens[0] != "fault") return std::nullopt;
   const auto kind = fault_kind_from(tokens[1]);
   if (!kind) return std::nullopt;

@@ -147,7 +147,7 @@ class StableStorage {
  private:
   void commit(std::uint64_t seq, std::string payload, bool torn, bool stale) {
     ++stats_.writes;
-    [[maybe_unused]] const char* outcome = "ok";
+    const char* outcome = "ok";
     if (stale) {
       // The device acked but the write never reached the journal.
       ++stats_.stale_drops;

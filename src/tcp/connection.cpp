@@ -34,10 +34,7 @@ constexpr sim::SimTime kQuickackDelay = sim::milliseconds(4.0);
 constexpr sim::SimTime kPiggybackHold = sim::milliseconds(50.0);
 constexpr int kDupackThreshold = 3;
 
-// [[maybe_unused]]: referenced only from WP2P_TRACE expansions, which a
-// WP2P_TRACE_DISABLED build removes entirely.
-[[maybe_unused]] trace::TraceEvent tcp_event(trace::Kind kind, Stack& stack,
-                                             std::string_view key) {
+trace::TraceEvent tcp_event(trace::Kind kind, Stack& stack, std::string_view key) {
   return trace::event(trace::Component::kTcp, kind).at(stack.node().name()).on(key);
 }
 }
@@ -296,7 +293,7 @@ std::string_view Connection::trace_key() {
 
 // One kTcpCwnd event per window change; `cause` tells the invariant checker
 // which rule applies (it keys specifically on "exit-recovery").
-void Connection::trace_cwnd([[maybe_unused]] const char* cause) {
+void Connection::trace_cwnd(const char* cause) {
   WP2P_TRACE(sim_, tcp_event(trace::Kind::kTcpCwnd, stack_, trace_key())
                        .why(cause)
                        .with("cwnd", cwnd_)
@@ -317,7 +314,7 @@ void Connection::enter_fast_retransmit() {
   ++stats_.fast_retransmits;
   const double mss = static_cast<double>(kMss);
   const double flight = static_cast<double>(flight_size());
-  [[maybe_unused]] const double cwnd_before = cwnd_;
+  const double cwnd_before = cwnd_;
   ssthresh_ = std::max(flight / 2.0, 2.0 * mss);
   recover_ = snd_nxt_;
   in_recovery_ = true;
@@ -385,7 +382,6 @@ void Connection::send_pure_ack(bool dup) {
   seg->seq = snd_nxt_;
   seg->payload = 0;
   seg->ack = rcv_nxt_;
-  seg->dup_hint = dup;
   ++stats_.pure_acks_sent;
   if (dup) ++stats_.dupacks_sent;
   ack_emitted();
@@ -589,7 +585,7 @@ void Connection::on_rto() {
   }
   ++stats_.timeouts;
   const double mss = static_cast<double>(kMss);
-  [[maybe_unused]] const double cwnd_before = cwnd_;
+  const double cwnd_before = cwnd_;
   ssthresh_ = std::max(static_cast<double>(flight_size()) / 2.0, 2.0 * mss);
   cwnd_ = params_.unsafe_no_cwnd_floor ? mss * 0.5 : mss;
   if (params_.unsafe_no_cwnd_floor) trace_cwnd("rto-collapse");

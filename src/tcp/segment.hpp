@@ -45,10 +45,6 @@ struct Segment {
   bool syn = false;
   bool fin = false;  // occupies logical sequence [seq+payload, seq+payload+1)
   bool rst = false;
-  // Diagnostic hint set by receivers when emitting a duplicate ACK. Protocol
-  // logic never reads it (senders infer duplicates from ack numbers, and the
-  // wP2P filter does its own tracking); tests and traces do.
-  bool dup_hint = false;
   // Simulation metadata (not protocol data): message boundaries of the
   // sender's stream, readable by the receiver for in-order-delivered bytes.
   std::shared_ptr<MessageLedger> ledger;

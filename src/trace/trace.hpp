@@ -4,8 +4,7 @@
 // Components emit typed TraceEvents through the WP2P_TRACE macro at cheap
 // inline trace points. When no Recorder is installed on the Simulator the
 // macro costs one pointer load and a branch — none of its arguments are
-// evaluated. Building with -DWP2P_TRACE_DISABLED removes the trace points
-// entirely, so the hot path can be proven to pay nothing.
+// evaluated.
 //
 // An event is a trivially copyable record of at most 128 bytes:
 //   time       virtual timestamp (stamped by the macro)
@@ -344,17 +343,12 @@ class NameTable {
 
 // The trace point. `sim_expr` is any expression yielding a sim::Simulator&;
 // `builder` is a trace::TraceEvent expression (normally a trace::event(...)
-// chain). The builder is evaluated ONLY when a recorder is installed, and the
-// whole statement compiles away under WP2P_TRACE_DISABLED. emit runs in the
-// builder's full-expression, so a name built there as a temporary (an
-// endpoint string, say) is still alive when the recorder interns it.
-#ifdef WP2P_TRACE_DISABLED
-#define WP2P_TRACE(sim_expr, builder) ((void)0)
-#else
+// chain). The builder is evaluated ONLY when a recorder is installed. emit
+// runs in the builder's full-expression, so a name built there as a temporary
+// (an endpoint string, say) is still alive when the recorder interns it.
 #define WP2P_TRACE(sim_expr, builder)                                    \
   do {                                                                   \
     if (::wp2p::trace::Recorder* wp2p_trace_rec = (sim_expr).tracer()) { \
       wp2p_trace_rec->emit((builder), (sim_expr).now());                 \
     }                                                                    \
   } while (0)
-#endif

@@ -1,6 +1,7 @@
-// Strict value parsing for the line-oriented text formats (resume journals,
-// fault plans, scenario specs): a value parses only when the whole token is
-// one number, with no sign where none is allowed and nothing non-finite.
+// Strict parsing for the line-oriented text formats (resume journals, fault
+// plans, scenario specs): one line and token splitter, and value readers that
+// accept a token only when the whole of it is one number, with no sign where
+// none is allowed and nothing non-finite.
 #pragma once
 
 #include <cctype>
@@ -11,8 +12,32 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace wp2p::util {
+
+// Takes the next line off the front of `text` into `line`, without its '\n';
+// false once `text` is used up. A final line needs no '\n'.
+inline bool next_line(std::string_view& text, std::string_view& line) {
+  if (text.empty()) return false;
+  const std::size_t eol = text.find('\n');
+  line = text.substr(0, eol);
+  text.remove_prefix(eol == std::string_view::npos ? text.size() : eol + 1);
+  return true;
+}
+
+// Splits `line` into its space-separated tokens; leading, trailing and
+// repeated spaces yield no empty token.
+inline std::vector<std::string_view> split(std::string_view line) {
+  std::vector<std::string_view> tokens;
+  while (!line.empty()) {
+    const std::size_t sp = line.find(' ');
+    if (sp != 0) tokens.push_back(line.substr(0, sp));
+    if (sp == std::string_view::npos) break;
+    line.remove_prefix(sp + 1);
+  }
+  return tokens;
+}
 
 // The value of a `key=value` token; nullopt for another key or an empty value.
 inline std::optional<std::string_view> value_of(std::string_view token, std::string_view key) {

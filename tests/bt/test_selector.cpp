@@ -12,7 +12,7 @@ struct SelectorTest : ::testing::Test {
   std::vector<int> availability;
 
   SelectionContext ctx(const std::vector<int>& candidates, double fraction = 0.0) {
-    return SelectionContext{candidates, availability, fraction, 0, rng};
+    return SelectionContext{candidates, availability, fraction, rng};
   }
 };
 
@@ -77,7 +77,7 @@ TEST_P(SelectorContract, AlwaysPicksFromCandidates) {
     }
     if (candidates.empty()) continue;
     for (auto& sel : selectors) {
-      SelectionContext ctx{candidates, availability, rng.uniform(), 0, rng};
+      SelectionContext ctx{candidates, availability, rng.uniform(), rng};
       const int pick = sel->pick(ctx);
       EXPECT_NE(std::find(candidates.begin(), candidates.end(), pick), candidates.end())
           << sel->name();

@@ -12,7 +12,7 @@ struct StreamingSelectorTest : ::testing::Test {
   std::vector<int> availability;
 
   SelectionContext ctx(const std::vector<int>& candidates) {
-    return SelectionContext{candidates, availability, 0.0, 0, rng};
+    return SelectionContext{candidates, availability, 0.0, rng};
   }
 };
 

@@ -17,11 +17,10 @@ struct AmFilterTest : ::testing::Test {
   net::Endpoint remote{net::IpAddr{2}, 6881};
 
   net::Packet tcp_packet(net::Endpoint src, net::Endpoint dst, std::int64_t payload,
-                         std::int64_t ack, bool dup = false) {
+                         std::int64_t ack) {
     auto seg = std::make_shared<tcp::Segment>();
     seg->payload = payload;
     seg->ack = ack;
-    seg->dup_hint = dup;
     net::Packet pkt;
     pkt.src = src;
     pkt.dst = dst;
@@ -103,7 +102,7 @@ TEST_F(AmFilterTest, MatureFlowDropsEveryFourthDupack) {
   run_egress(tcp_packet(local, remote, 0, 7000));
   int forwarded = 0;
   for (int i = 0; i < 12; ++i) {
-    forwarded += static_cast<int>(run_egress(tcp_packet(local, remote, 0, 7000, true)).size());
+    forwarded += static_cast<int>(run_egress(tcp_packet(local, remote, 0, 7000)).size());
   }
   EXPECT_EQ(filter.stats().dupacks_seen, 12u);
   EXPECT_EQ(filter.stats().dupacks_dropped, 3u);  // every 4th of 12
@@ -112,7 +111,7 @@ TEST_F(AmFilterTest, MatureFlowDropsEveryFourthDupack) {
 
 TEST_F(AmFilterTest, YoungFlowForwardsAllDupacks) {
   run_egress(tcp_packet(local, remote, 0, 7000));
-  for (int i = 0; i < 12; ++i) run_egress(tcp_packet(local, remote, 0, 7000, true));
+  for (int i = 0; i < 12; ++i) run_egress(tcp_packet(local, remote, 0, 7000));
   EXPECT_EQ(filter.stats().dupacks_dropped, 0u);
 }
 
@@ -126,7 +125,7 @@ TEST_F(AmFilterTest, DisabledFeaturesPassEverything) {
   EXPECT_EQ(out.size(), 1u);
   for (int i = 0; i < 20; ++i) {
     std::vector<net::Packet> o2;
-    off.egress(tcp_packet(local, remote, 0, 5000, true), o2);
+    off.egress(tcp_packet(local, remote, 0, 5000), o2);
     EXPECT_EQ(o2.size(), 1u);
   }
 }

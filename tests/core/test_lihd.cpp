@@ -94,7 +94,7 @@ TEST_F(LihdTest, EqualRatesWalkLimitToMinUploadFloor) {
   config.alpha = kb(10);
   config.beta = kb(10);
   config.max_upload = kb(200);
-  [[maybe_unused]] trace::Recorder& recorder = world.enable_tracing();
+  trace::Recorder& recorder = world.enable_tracing();
   auto lihd = make();
 
   lihd->step(kb(80));  // seed history
@@ -106,7 +106,6 @@ TEST_F(LihdTest, EqualRatesWalkLimitToMinUploadFloor) {
 
   // The trace agrees: after the seed step, every decision is a decrease with
   // a monotonically growing dec_count, and the limit never dips below min.
-#ifndef WP2P_TRACE_DISABLED
   int decreases = 0;
   double last_dec_count = 0.0;
   for (const trace::TraceEvent& ev : recorder.ring().events()) {
@@ -121,7 +120,6 @@ TEST_F(LihdTest, EqualRatesWalkLimitToMinUploadFloor) {
     }
   }
   EXPECT_EQ(decreases, 11);
-#endif
 }
 
 TEST_F(LihdTest, StartAppliesLimitToClient) {

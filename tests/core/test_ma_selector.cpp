@@ -10,7 +10,7 @@ struct MaSelectorTest : ::testing::Test {
   std::vector<int> availability;
 
   bt::SelectionContext ctx(const std::vector<int>& candidates, double fraction) {
-    return bt::SelectionContext{candidates, availability, fraction, 0, rng};
+    return bt::SelectionContext{candidates, availability, fraction, rng};
   }
 };
 

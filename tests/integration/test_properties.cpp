@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bt/bencode.hpp"
+#include "checked_run.hpp"
 #include "exp/faults.hpp"
 #include "exp/swarm.hpp"
 
@@ -17,6 +18,7 @@ class SeedSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SeedSweep, TcpDeliversReliablyUnderLossAndJitter) {
   exp::World world{GetParam()};
+  testing::CheckedRun checked{world.sim};
   world.net.path().loss = 0.03;
   world.net.path().jitter = sim::milliseconds(15.0);  // reordering across packets
   auto& a = world.add_wired_host("a");
@@ -47,6 +49,7 @@ TEST_P(SeedSweep, TcpDeliversReliablyUnderLossAndJitter) {
   ASSERT_EQ(received.size(), static_cast<std::size_t>(messages));
   for (int i = 0; i < messages; ++i) EXPECT_EQ(received[static_cast<std::size_t>(i)], i);
   EXPECT_EQ(server->stats().bytes_delivered, total);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // --- Swarm: any random swarm completes, and conservation holds -------------------
@@ -57,6 +60,7 @@ TEST_P(SeedSweep, RandomSwarmCompletesWithConservation) {
   auto meta = bt::Metainfo::create("f", 2 * 1024 * 1024 + rng.range(0, 2'000'000),
                                    256 * 1024, "tr", seed);
   Swarm swarm{seed, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(30.0);
 
@@ -89,6 +93,7 @@ TEST_P(SeedSweep, RandomSwarmCompletesWithConservation) {
   for (std::size_t i = 1; i < swarm.members.size(); ++i) {
     EXPECT_TRUE(swarm.members[i].client->store().bitfield().all());
   }
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // --- Mobility: hand-offs never wedge the swarm -----------------------------------
@@ -97,6 +102,7 @@ TEST_P(SeedSweep, HandoffsNeverWedgeTheDownload) {
   const std::uint64_t seed = GetParam();
   auto meta = bt::Metainfo::create("f", 4 * 1024 * 1024, 256 * 1024, "tr", seed + 100);
   Swarm swarm{seed, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(20.0);
   auto& source = swarm.add_wired("seed", true, config);
@@ -115,6 +121,7 @@ TEST_P(SeedSweep, HandoffsNeverWedgeTheDownload) {
   }
   ASSERT_TRUE(swarm.run_until_complete(mobile, 900.0)) << "seed " << seed;
   EXPECT_EQ(mobile->store().bytes_completed(), meta.total_size);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // --- Choker: incremental sets match a from-scratch recompute ---------------------
@@ -128,6 +135,7 @@ TEST_P(SeedSweep, ChokerIncrementalSetsConsistentUnderChurn) {
   const std::uint64_t seed = GetParam();
   auto meta = bt::Metainfo::create("f", 6 * 1024 * 1024, 256 * 1024, "tr", seed + 500);
   Swarm swarm{seed + 500, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(10.0);
   swarm.add_wired("seed", true, config);
@@ -181,6 +189,7 @@ TEST_P(SeedSweep, ChokerIncrementalSetsConsistentUnderChurn) {
   std::uint64_t strikes = 0;
   for (auto& member : swarm.members) strikes += member.client->stats().peer_strikes;
   EXPECT_GT(strikes, 0u) << "seed " << seed;
+  EXPECT_TRUE(checked.no_violations());
   (void)venom;
 }
 

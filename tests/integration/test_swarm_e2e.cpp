@@ -2,6 +2,7 @@
 // piece store, TCP, and the access links — the repo's highest-level tests.
 #include <gtest/gtest.h>
 
+#include "checked_run.hpp"
 #include "exp/faults.hpp"
 #include "exp/swarm.hpp"
 
@@ -14,6 +15,7 @@ using exp::Swarm;
 TEST(SwarmE2E, SeedAndThreeLeechersCompleteAFile) {
   auto meta = bt::Metainfo::create("e2e", 3 * 1024 * 1024, 256 * 1024, "tr", 77);
   Swarm swarm{77, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(30.0);
   swarm.add_wired("seed", true, config);
@@ -29,6 +31,7 @@ TEST(SwarmE2E, SeedAndThreeLeechersCompleteAFile) {
     EXPECT_TRUE(swarm.members[i].client->store().bitfield().all());
     EXPECT_EQ(swarm.members[i].client->store().bytes_completed(), meta.total_size);
   }
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // A wP2P leecher survives a mid-download hand-off: identity (peer id) is
@@ -36,6 +39,7 @@ TEST(SwarmE2E, SeedAndThreeLeechersCompleteAFile) {
 TEST(SwarmE2E, Wp2pLeecherSurvivesMidDownloadHandoff) {
   auto meta = bt::Metainfo::create("e2e-ho", 4 * 1024 * 1024, 256 * 1024, "tr", 78);
   Swarm swarm{78, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(30.0);
   auto& source = swarm.add_wired("seed", true, config);
@@ -59,6 +63,7 @@ TEST(SwarmE2E, Wp2pLeecherSurvivesMidDownloadHandoff) {
   EXPECT_EQ(mobile->peer_id(), id_before);  // identity survived the hand-off
   EXPECT_GE(mobile->stats().task_reinitiations, 1u);
   EXPECT_EQ(mobile->store().bytes_completed(), meta.total_size);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // A default (non-wP2P) leecher also completes after a hand-off — slower, via
@@ -66,6 +71,7 @@ TEST(SwarmE2E, Wp2pLeecherSurvivesMidDownloadHandoff) {
 TEST(SwarmE2E, DefaultLeecherRecoversViaTrackerAfterHandoff) {
   auto meta = bt::Metainfo::create("e2e-def", 3 * 1024 * 1024, 256 * 1024, "tr", 79);
   Swarm swarm{79, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(20.0);
   auto& source = swarm.add_wired("seed", true, config);
@@ -84,6 +90,7 @@ TEST(SwarmE2E, DefaultLeecherRecoversViaTrackerAfterHandoff) {
   ASSERT_TRUE(swarm.run_until_complete(mobile, 600.0));
   EXPECT_NE(mobile->peer_id(), id_before);  // default client regenerates
   EXPECT_GE(mobile->stats().task_reinitiations, 1u);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // A swarm completes through an injected mid-run fault barrage (flap + BER +
@@ -91,6 +98,7 @@ TEST(SwarmE2E, DefaultLeecherRecoversViaTrackerAfterHandoff) {
 TEST(SwarmE2E, SwarmCompletesThroughFaultBarrage) {
   auto meta = bt::Metainfo::create("e2e-faults", 2 * 1024 * 1024, 256 * 1024, "tr", 80);
   Swarm swarm{80, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(20.0);
   auto& source = swarm.add_wired("seed", true, config);
@@ -120,6 +128,7 @@ TEST(SwarmE2E, SwarmCompletesThroughFaultBarrage) {
     downloaded += member.client->stats().payload_downloaded;
   }
   EXPECT_GE(uploaded, downloaded);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 // A peer-crash window stops the client process and restarts it; the piece
@@ -127,6 +136,7 @@ TEST(SwarmE2E, SwarmCompletesThroughFaultBarrage) {
 TEST(SwarmE2E, PeerCrashRestartKeepsStoreAndCompletes) {
   auto meta = bt::Metainfo::create("e2e-crash", 2 * 1024 * 1024, 256 * 1024, "tr", 81);
   Swarm swarm{81, meta};
+  testing::CheckedRun checked{swarm.world.sim};
   bt::ClientConfig config;
   config.announce_interval = sim::seconds(15.0);
   auto& source = swarm.add_wired("seed", true, config);
@@ -152,6 +162,7 @@ TEST(SwarmE2E, PeerCrashRestartKeepsStoreAndCompletes) {
 
   ASSERT_TRUE(swarm.run_until_complete(leech, 900.0));
   EXPECT_EQ(injector->stats().applied, 1u);
+  EXPECT_TRUE(checked.no_violations());
 }
 
 }  // namespace
