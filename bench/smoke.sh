@@ -22,8 +22,11 @@ test -s trace.jsonl
 "$bench/bench_clustering" --runs 1
 "$bench/bench_resume" --runs 1 --check-invariants
 
-# Reduced scale sweep against the committed baseline: events/sec within 60%
-# (shared runners are noisy) and exact event counts. The duration must match
-# the baseline's; shorter runs under-amortize setup and read as regressions.
-"$bench/bench_scale" --sizes 100,1000,10000 --duration 60 --out ci_scale.json \
+# Scale sweep against the committed baseline: events/sec within 60% (shared
+# runners are noisy) and exact event counts. The duration must match the
+# baseline's; shorter runs under-amortize setup and read as regressions. The
+# 50k point costs about 0.2 s; it is where the work that grows with the
+# population (tracker registration and selection, the flyweights' shared
+# wheels) weighs most.
+"$bench/bench_scale" --sizes 100,1000,10000,50000 --duration 60 --out ci_scale.json \
   --compare BENCH_scale.json --tolerance 0.6

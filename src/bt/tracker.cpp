@@ -1,6 +1,8 @@
 #include "bt/tracker.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 namespace wp2p::bt {
 
@@ -27,20 +29,32 @@ void Tracker::announce(const AnnounceRequest& request, AnnounceCallback callback
   expire(swarm);
 
   if (request.event == AnnounceEvent::kStopped) {
-    swarm.entries.erase(request.peer_id);
+    if (swarm.entries.erase(request.peer_id) != 0) swarm.order.clear();
     if (callback) {
       sim_.after(kRpcLatency, [cb = std::move(callback)] { cb(AnnounceResult{true, {}}); });
     }
     return;
   }
 
-  Entry& entry = swarm.entries[request.peer_id];
+  const auto [it, inserted] = swarm.entries.try_emplace(request.peer_id);
+  if (inserted && !swarm.order.empty()) {
+    if (swarm.entries.bucket_count() != swarm.order_buckets) {
+      swarm.order.clear();  // rehashed: the iteration order is new
+    } else {
+      const auto next = std::next(it);
+      const auto slot = next == swarm.entries.end()
+                            ? swarm.order.end()
+                            : std::find(swarm.order.begin(), swarm.order.end(), &next->second);
+      swarm.order.insert(slot, &it->second);
+    }
+  }
+  Entry& entry = it->second;
   entry.info = TrackerPeerInfo{request.endpoint, request.peer_id, request.seed};
   if (request.event == AnnounceEvent::kCompleted) entry.info.seed = true;
   entry.refreshed = sim_.now();
 
   if (callback) {
-    auto peers = select_peers(swarm, request.peer_id);
+    auto peers = select_peers(swarm, entry);
     sim_.after(kRpcLatency,
                [cb = std::move(callback), peers = std::move(peers)]() mutable {
                  cb(AnnounceResult{true, std::move(peers)});
@@ -61,36 +75,65 @@ void Tracker::expire(Swarm& swarm) {
   }
   swarm.last_sweep = now;
   const sim::SimTime cutoff = now - kPeerTtl;
-  for (auto it = swarm.entries.begin(); it != swarm.entries.end();) {
-    if (it->second.refreshed < cutoff) {
-      it = swarm.entries.erase(it);
-    } else {
-      ++it;
-    }
+  if (std::erase_if(swarm.entries,
+                    [&](const auto& kv) { return kv.second.refreshed < cutoff; }) != 0) {
+    swarm.order.clear();
+  } else {
+    swarm.oldest = std::max(swarm.oldest, cutoff);  // the sweep found none older
   }
 }
 
-std::vector<TrackerPeerInfo> Tracker::select_peers(const Swarm& swarm, PeerId requester) {
-  // refreshed >= cutoff is a no-op right after an eager sweep (the sweep just
-  // erased everything below it), so small swarms see the exact legacy list.
-  const sim::SimTime cutoff = sim_.now() - kPeerTtl;
-  std::vector<TrackerPeerInfo> all;
-  all.reserve(swarm.entries.size());
-  for (const auto& [id, entry] : swarm.entries) {
-    if (id != requester && entry.refreshed >= cutoff) all.push_back(entry.info);
-  }
-  const auto k = static_cast<std::size_t>(config_.max_peers_returned);
-  if (all.size() > k) {
-    // Partial Fisher-Yates: k draws pick a uniform k-sample, versus the full
-    // shuffle's N-1 draws. At 50k peers an announce now costs O(N) copy +
-    // O(k) draws instead of O(N) rng work.
-    for (std::size_t i = 0; i < k; ++i) {
-      const std::size_t j = i + static_cast<std::size_t>(rng_.below(all.size() - i));
-      std::swap(all[i], all[j]);
+std::vector<TrackerPeerInfo> Tracker::select_peers(Swarm& swarm, const Entry& requester) {
+  if (swarm.order.empty()) {
+    swarm.order_buckets = swarm.entries.bucket_count();
+    swarm.oldest = sim_.now();
+    for (const auto& [id, entry] : swarm.entries) {
+      swarm.order.push_back(&entry);
+      swarm.oldest = std::min(swarm.oldest, entry.refreshed);
     }
-    all.resize(k);
   }
-  return all;
+  // The candidates are the live entries in iteration order, the requester
+  // excepted. Stale entries can only sit in a large swarm between amortized
+  // sweeps, and only when `oldest` says there may be some is the order
+  // filtered first.
+  const sim::SimTime cutoff = sim_.now() - kPeerTtl;
+  std::vector<const Entry*> live;
+  if (swarm.oldest < cutoff) {
+    std::copy_if(swarm.order.begin(), swarm.order.end(), std::back_inserter(live),
+                 [&](const Entry* e) { return e->refreshed >= cutoff; });
+  }
+  const std::vector<const Entry*>& all = swarm.oldest < cutoff ? live : swarm.order;
+  const auto self = static_cast<std::size_t>(
+      std::find(all.begin(), all.end(), &requester) - all.begin());
+  WP2P_ASSERT(self < all.size());
+  const std::size_t n = all.size() - 1;
+  const auto candidate = [&](std::size_t p) { return all[p < self ? p : p + 1]->info; };
+
+  const auto k = static_cast<std::size_t>(config_.max_peers_returned);
+  std::vector<TrackerPeerInfo> peers;
+  peers.reserve(std::min(n, k));
+  if (n <= k) {
+    for (std::size_t p = 0; p < n; ++p) peers.push_back(candidate(p));
+    return peers;
+  }
+  // Partial Fisher-Yates: k draws pick a uniform k-sample. It shuffles the
+  // candidates' indices in place, and only slots a draw touched differ from
+  // the identity, so those few live in a short list.
+  std::vector<std::pair<std::size_t, std::size_t>> moved;  // slot -> candidate
+  const auto slot = [&](std::size_t s) -> std::size_t& {
+    for (auto& [at, p] : moved) {
+      if (at == s) return p;
+    }
+    return moved.emplace_back(s, s).second;
+  };
+  for (std::size_t i = 0; i < k; ++i) {
+    const std::size_t j = i + static_cast<std::size_t>(rng_.below(n - i));
+    const std::size_t displaced = slot(i);
+    std::size_t& drawn = slot(j);
+    peers.push_back(candidate(drawn));
+    drawn = displaced;
+  }
+  return peers;
 }
 
 std::size_t Tracker::swarm_size(InfoHash hash) const {

@@ -86,6 +86,18 @@ class Tracker {
   struct Swarm {
     std::unordered_map<PeerId, Entry> entries;
     sim::SimTime last_sweep = -1;  // amortized-expiry bookkeeping (large swarms)
+    // The entries in the map's iteration order, kept so that a selection
+    // draws from the order a walk would see without walking the swarm.
+    // Empty means no mirror: the next selection rebuilds it with one walk.
+    // Entries are map nodes, so their addresses hold and refreshes show
+    // through. Erases drop the mirror. An insert that changes bucket_count()
+    // rehashed the table and drops it too. Any other insert is mirrored in
+    // step, which relies on one property of the map that libstdc++ has (the
+    // walking-tracker test in tests/bt/test_tracker.cpp checks it): an insert
+    // that does not rehash leaves the other nodes in their order.
+    std::vector<const Entry*> order;
+    std::size_t order_buckets = 0;  // bucket_count() the mirror was taken at
+    sim::SimTime oldest = 0;        // lower bound on the mirrored `refreshed`
   };
 
   // Swarm size at which per-announce expiry sweeps switch from eager (legacy,
@@ -94,7 +106,7 @@ class Tracker {
   static constexpr std::size_t kAmortizedSweepThreshold = 256;
 
   void expire(Swarm& swarm);
-  std::vector<TrackerPeerInfo> select_peers(const Swarm& swarm, PeerId requester);
+  std::vector<TrackerPeerInfo> select_peers(Swarm& swarm, const Entry& requester);
 
   sim::Simulator& sim_;
   TrackerConfig config_;

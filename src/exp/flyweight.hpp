@@ -26,8 +26,9 @@
 //     per-peer timers (one shared announce wheel + progress tick + choke
 //     round for the whole population).
 //
-// Seeds share a single full Bitfield (the flyweight proper); a leech owns its
-// bitfield only until completion, then swaps to the shared copy.
+// Seeds share a single full Bitfield (the flyweight proper), and leeches that
+// hold no piece yet share a single empty one. A leech owns its bitfield only
+// from its first piece to completion, then swaps to the shared full copy.
 #pragma once
 
 #include <algorithm>
@@ -60,6 +61,7 @@ class FlyweightSwarm {
         meta_{meta},
         rng_{world.sim.rng().fork()},
         full_{meta.piece_count()},
+        empty_{meta.piece_count()},
         availability_(static_cast<std::size_t>(meta.piece_count()), 0) {
     full_.set_all();
   }
@@ -82,15 +84,8 @@ class FlyweightSwarm {
       peer.id = rng_.next_u64() | 1;
       peer.host = &host;
       peer.port = static_cast<std::uint16_t>(kBasePort + peers_.size() / hosts_.size());
-      if (rng_.uniform() < kSeedFraction) {
-        peer.have = &full_;
-      } else {
-        peer.own = std::make_unique<bt::Bitfield>(meta_.piece_count());
-        peer.have = peer.own.get();
-      }
-      for (int p = 0; p < meta_.piece_count(); ++p) {
-        if (peer.have->test(p)) ++availability_[static_cast<std::size_t>(p)];
-      }
+      peer.have = rng_.uniform() < kSeedFraction ? &full_ : &empty_;
+      peer.have->for_each_set([&](int p) { ++availability_[static_cast<std::size_t>(p)]; });
     }
   }
 
@@ -147,8 +142,8 @@ class FlyweightSwarm {
     bt::PeerId id = 0;
     World::Host* host = nullptr;
     std::uint16_t port = 0;
-    const bt::Bitfield* have = nullptr;      // shared full_ once complete
-    std::unique_ptr<bt::Bitfield> own;       // leech-only storage
+    const bt::Bitfield* have = nullptr;      // shared empty_ or full_, else own
+    std::unique_ptr<bt::Bitfield> own;       // from the first piece to completion
     std::vector<std::unique_ptr<Session>> sessions;
     bool announced_complete = false;
   };
@@ -344,7 +339,11 @@ class FlyweightSwarm {
   // A leech gained a piece — from a foreground transfer or the progress
   // model. Updates availability, broadcasts have, handles completion.
   void grant_piece(Peer& peer, int piece) {
-    if (peer.own == nullptr || peer.own->test(piece)) return;
+    if (peer.have == &full_ || peer.have->test(piece)) return;
+    if (peer.own == nullptr) {
+      peer.own = std::make_unique<bt::Bitfield>(meta_.piece_count());
+      peer.have = peer.own.get();
+    }
     peer.own->set(piece);
     ++availability_[static_cast<std::size_t>(piece)];
     for (auto& session : peer.sessions) {
@@ -399,7 +398,7 @@ class FlyweightSwarm {
     const int pieces = meta_.piece_count();
     if (pieces == 0) return;
     for (Peer& peer : peers_) {
-      if (peer.own == nullptr) continue;  // already complete
+      if (peer.have == &full_) continue;  // already complete
       if (rng_.uniform() >= kProgressPerTick) continue;
       const int a = missing_piece_near(peer, static_cast<int>(rng_.below(
                                                 static_cast<std::uint64_t>(pieces))));
@@ -445,6 +444,7 @@ class FlyweightSwarm {
   const bt::Metainfo& meta_;
   sim::Rng rng_;
   bt::Bitfield full_;                       // shared by every complete peer
+  bt::Bitfield empty_;                      // shared by every leech without a piece
   std::vector<std::uint32_t> availability_; // background copies per piece
   std::vector<World::Host*> hosts_;
   std::deque<Peer> peers_;                  // deque: Peer& stays valid as peers grow
